@@ -38,7 +38,7 @@ int main() {
       s.params.tile_side = tile;
       s.params.tile_check_period = tile;
       const auto r = rep.run_gpu("tile " + std::to_string(tile), s, 4);
-      t.add_row({std::to_string(tile), fmt(r.modeled_seconds),
+      t.add_row({std::to_string(tile), fmt(r.cost.total_s),
                  fmt(r.cost.update_agents_s()),
                  fmt(r.cost.by_phase[static_cast<int>(
                      perfmodel::Phase::kTileSweep)]),
@@ -56,7 +56,7 @@ int main() {
       s.params.tile_side = 8;
       s.params.tile_check_period = period;
       const auto r = rep.run_gpu("period " + std::to_string(period), s, 4);
-      t.add_row({std::to_string(period), fmt(r.modeled_seconds),
+      t.add_row({std::to_string(period), fmt(r.cost.total_s),
                  fmt(r.cost.update_agents_s()),
                  fmt(r.cost.by_phase[static_cast<int>(
                      perfmodel::Phase::kTileSweep)])});

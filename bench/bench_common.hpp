@@ -102,9 +102,9 @@ class Reporter {
     // "memory" section, and the binding-rank analysis the "criticalpath"
     // section of the report.
     harness::RunSpec prof_spec = spec;
-    prof_spec.profile = true;
-    prof_spec.memscope = true;
-    prof_spec.critpath = true;
+    prof_spec.obs.profile = true;
+    prof_spec.obs.memscope = true;
+    prof_spec.obs.critpath = true;
     return instrumented(label, "gpu", ranks, prof_spec, [&] {
       return harness::run_gpu(prof_spec, ranks, variant);
     });
@@ -116,8 +116,8 @@ class Reporter {
     // both backends' footprints and load balance are comparable in every
     // report.
     harness::RunSpec mem_spec = spec;
-    mem_spec.memscope = true;
-    mem_spec.critpath = true;
+    mem_spec.obs.memscope = true;
+    mem_spec.obs.critpath = true;
     return instrumented(label, "cpu", ranks, mem_spec,
                         [&] { return harness::run_cpu(mem_spec, ranks); });
   }
@@ -180,7 +180,7 @@ class Reporter {
          spec.decomp == Decomposition::Kind::kLinear ? 1.0 : 0.0},
     };
     cfg.measured_wall_s = r.measured_wall_s;
-    cfg.modeled_s = r.modeled_seconds;
+    cfg.modeled_s = r.cost.total_s;
     cfg.measured_by_phase_s = obs::BenchReport::measured_phases_from(counters);
     cfg.modeled_by_phase_s = obs::BenchReport::modeled_phases_from(r.cost);
     cfg.drift = obs::BenchReport::drift_from(counters, r.cost);
@@ -198,7 +198,7 @@ class Reporter {
       cfg.memory = r.memory;
       cfg.mem_drift = obs::memory_drift_rows(r.memory.categories(),
                                              r.mem_modeled_by_category);
-      cfg.device_peak_bytes = r.peak_allocated_bytes;
+      cfg.device_peak_bytes = r.device_total.peak_allocated_bytes;
       cfg.rss = obs::rss_sampler().last();
       cfg.rss_samples = obs::rss_sampler().samples();
     }
@@ -219,6 +219,23 @@ class Reporter {
 
   obs::BenchReport report_;
 };
+
+/// `spec` with every instrument off, whatever the environment says — the
+/// base of the overhead gates' "off" and "on" runs.
+inline harness::RunSpec all_off(harness::RunSpec spec) {
+  spec.obs = obs::Config{};
+  return spec;
+}
+
+/// Wall nanoseconds per step of an all-instruments-off GPU run.
+inline double off_step_ns(const harness::RunSpec& spec, int ranks) {
+  const harness::RunSpec off = all_off(spec);
+  const auto t0 = std::chrono::steady_clock::now();
+  harness::run_gpu(off, ranks);
+  const auto t1 = std::chrono::steady_clock::now();
+  return std::chrono::duration<double, std::nano>(t1 - t0).count() /
+         static_cast<double>(spec.params.num_steps);
+}
 
 /// Measured cost of the observability layer when it is *disabled*.  The
 /// contract (src/obs/trace.hpp) is one relaxed atomic load + branch per
@@ -259,7 +276,7 @@ inline ObsOverheadReport measure_obs_overhead(const harness::RunSpec& spec,
   {
     obs::tracer().enable("");
     obs::metrics().enable("");
-    harness::run_gpu(spec, ranks);
+    harness::run_gpu(all_off(spec), ranks);
     const double sites = static_cast<double>(
         obs::tracer().event_count() + obs::tracer().dropped() +
         obs::metrics().datapoint_count());
@@ -267,14 +284,7 @@ inline ObsOverheadReport measure_obs_overhead(const harness::RunSpec& spec,
     obs::metrics().disable();
     r.sites_per_step = sites / static_cast<double>(spec.params.num_steps);
   }
-
-  {
-    const auto t0 = std::chrono::steady_clock::now();
-    harness::run_gpu(spec, ranks);
-    const auto t1 = std::chrono::steady_clock::now();
-    r.step_ns = std::chrono::duration<double, std::nano>(t1 - t0).count() /
-                static_cast<double>(spec.params.num_steps);
-  }
+  r.step_ns = off_step_ns(spec, ranks);
   return r;
 }
 
@@ -295,16 +305,12 @@ struct KernelCheckOverheadReport {
 /// Measures the disabled-KernelCheck overhead of `spec` on the GPU backend:
 /// (1) times the null-checker branch in a tight loop, (2) counts the
 /// instrumented accesses one step hits by running once with the checker on,
-/// (3) times a checker-off run.  SIMCOV_KERNEL_CHECK is unset for the
-/// duration (and restored after) so an environment-enabled checker cannot
-/// contaminate the "off" measurements.
+/// (3) times a checker-off run.  Both runs start from an all-off
+/// obs::Config, so an environment-enabled instrument cannot contaminate
+/// them.
 inline KernelCheckOverheadReport measure_kernel_check_overhead(
     const harness::RunSpec& spec, int ranks) {
   KernelCheckOverheadReport r;
-  const char* prev_env =
-      std::getenv("SIMCOV_KERNEL_CHECK");  // NOLINT(concurrency-mt-unsafe)
-  const std::string prev = prev_env != nullptr ? prev_env : "";
-  ::unsetenv("SIMCOV_KERNEL_CHECK");  // NOLINT(concurrency-mt-unsafe)
 
   {
     // The disabled path in GlobalSpan::read/write/atomic_add is exactly
@@ -352,30 +358,12 @@ inline KernelCheckOverheadReport measure_kernel_check_overhead(
     r.ns_per_site = best > 0.0 ? best : 0.0;
   }
 
-  {
-    gpu::GpuSimOptions opt;
-    opt.num_ranks = ranks;
-    opt.decomp = spec.decomp;
-    opt.area_scale = spec.area_scale;
-    opt.check_kernels = true;
-    const gpu::GpuRunResult checked =
-        gpu::run_gpu_sim(spec.params, spec.resolve_foi(), opt);
-    r.sites_per_step = static_cast<double>(checked.check_accesses) /
-                       static_cast<double>(spec.params.num_steps);
-  }
-
-  {
-    const auto t0 = std::chrono::steady_clock::now();
-    harness::run_gpu(spec, ranks);
-    const auto t1 = std::chrono::steady_clock::now();
-    r.step_ns = std::chrono::duration<double, std::nano>(t1 - t0).count() /
-                static_cast<double>(spec.params.num_steps);
-  }
-
-  if (prev_env != nullptr) {
-    ::setenv("SIMCOV_KERNEL_CHECK", prev.c_str(),
-             1);  // NOLINT(concurrency-mt-unsafe)
-  }
+  harness::RunSpec on = all_off(spec);
+  on.obs.kernel_check = true;
+  r.sites_per_step =
+      static_cast<double>(harness::run_gpu(on, ranks).check_accesses) /
+      static_cast<double>(spec.params.num_steps);
+  r.step_ns = off_step_ns(spec, ranks);
   return r;
 }
 
@@ -396,16 +384,11 @@ struct ProfileOverheadReport {
 /// (1) times the null-slot branch differentially inside a modeled bind
 /// sequence, (2) counts the binds one step performs by running once with the
 /// profiler on (KernelProf::total_binds via GpuRunResult::prof_binds),
-/// (3) times a profiler-off run.  SIMCOV_PROFILE is unset for the duration
-/// (and restored after) so an environment-enabled profiler cannot
-/// contaminate the "off" measurements.
+/// (3) times a profiler-off run.  Both runs start from an all-off
+/// obs::Config.
 inline ProfileOverheadReport measure_profile_overhead(
     const harness::RunSpec& spec, int ranks) {
   ProfileOverheadReport r;
-  const char* prev_env =
-      std::getenv("SIMCOV_PROFILE");  // NOLINT(concurrency-mt-unsafe)
-  const std::string prev = prev_env != nullptr ? prev_env : "";
-  ::unsetenv("SIMCOV_PROFILE");  // NOLINT(concurrency-mt-unsafe)
 
   {
     // The disabled path in ThreadCtx/BlockCtx::global is exactly
@@ -445,30 +428,12 @@ inline ProfileOverheadReport measure_profile_overhead(
     r.ns_per_site = best > 0.0 ? best : 0.0;
   }
 
-  {
-    gpu::GpuSimOptions opt;
-    opt.num_ranks = ranks;
-    opt.decomp = spec.decomp;
-    opt.area_scale = spec.area_scale;
-    opt.profile = true;
-    const gpu::GpuRunResult profiled =
-        gpu::run_gpu_sim(spec.params, spec.resolve_foi(), opt);
-    r.sites_per_step = static_cast<double>(profiled.prof_binds) /
-                       static_cast<double>(spec.params.num_steps);
-  }
-
-  {
-    const auto t0 = std::chrono::steady_clock::now();
-    harness::run_gpu(spec, ranks);
-    const auto t1 = std::chrono::steady_clock::now();
-    r.step_ns = std::chrono::duration<double, std::nano>(t1 - t0).count() /
-                static_cast<double>(spec.params.num_steps);
-  }
-
-  if (prev_env != nullptr) {
-    ::setenv("SIMCOV_PROFILE", prev.c_str(),
-             1);  // NOLINT(concurrency-mt-unsafe)
-  }
+  harness::RunSpec on = all_off(spec);
+  on.obs.profile = true;
+  r.sites_per_step =
+      static_cast<double>(harness::run_gpu(on, ranks).prof_binds) /
+      static_cast<double>(spec.params.num_steps);
+  r.step_ns = off_step_ns(spec, ranks);
   return r;
 }
 
@@ -490,16 +455,11 @@ struct MemScopeOverheadReport {
 /// (1) times the relaxed memscope_on() flag load + branch differentially
 /// inside a modeled phase boundary, (2) counts the sites one step hits by
 /// running once with MemScope on (RSS-sampler phase-boundary calls plus
-/// registry alloc/free events), (3) times a memscope-off run.
-/// SIMCOV_MEMSCOPE is unset for the duration (and restored after) so an
-/// environment-enabled registry cannot contaminate the "off" measurements.
+/// registry alloc/free events), (3) times a memscope-off run.  Both runs
+/// start from an all-off obs::Config.
 inline MemScopeOverheadReport measure_memscope_overhead(
     const harness::RunSpec& spec, int ranks) {
   MemScopeOverheadReport r;
-  const char* prev_env =
-      std::getenv("SIMCOV_MEMSCOPE");  // NOLINT(concurrency-mt-unsafe)
-  const std::string prev = prev_env != nullptr ? prev_env : "";
-  ::unsetenv("SIMCOV_MEMSCOPE");  // NOLINT(concurrency-mt-unsafe)
 
   {
     // The disabled path at a phase boundary is exactly `if (mem_)` on a
@@ -522,9 +482,8 @@ inline MemScopeOverheadReport measure_memscope_overhead(
         if (idx >= data.size()) std::abort();
         ++marks;
         if (with_hook) {
-          // The flag is false for the whole probe (env unset, no
-          // MemScopeRun active), so this is the not-taken branch the
-          // contract prices.
+          // The flag is false for the whole probe (no MemScopeRun
+          // active), so this is the not-taken branch the contract prices.
           if (obs::memscope_on()) ++hits;
         }
         acc += data[idx];
@@ -544,14 +503,10 @@ inline MemScopeOverheadReport measure_memscope_overhead(
   }
 
   {
-    gpu::GpuSimOptions opt;
-    opt.num_ranks = ranks;
-    opt.decomp = spec.decomp;
-    opt.area_scale = spec.area_scale;
-    opt.memscope = true;
+    harness::RunSpec on = all_off(spec);
+    on.obs.memscope = true;
     obs::rss_sampler().reset();
-    const gpu::GpuRunResult scoped =
-        gpu::run_gpu_sim(spec.params, spec.resolve_foi(), opt);
+    const harness::BackendResult scoped = harness::run_gpu(on, ranks);
     // Every disabled-branch site fires exactly once in an enabled run:
     // phase boundaries show up as RSS-sampler calls, allocation events as
     // registry alloc/free counts.
@@ -562,19 +517,7 @@ inline MemScopeOverheadReport measure_memscope_overhead(
     obs::rss_sampler().reset();
     r.sites_per_step = sites / static_cast<double>(spec.params.num_steps);
   }
-
-  {
-    const auto t0 = std::chrono::steady_clock::now();
-    harness::run_gpu(spec, ranks);
-    const auto t1 = std::chrono::steady_clock::now();
-    r.step_ns = std::chrono::duration<double, std::nano>(t1 - t0).count() /
-                static_cast<double>(spec.params.num_steps);
-  }
-
-  if (prev_env != nullptr) {
-    ::setenv("SIMCOV_MEMSCOPE", prev.c_str(),
-             1);  // NOLINT(concurrency-mt-unsafe)
-  }
+  r.step_ns = off_step_ns(spec, ranks);
   return r;
 }
 
@@ -597,16 +540,10 @@ struct CritPathOverheadReport {
 /// phase-boundary sequence, (2) counts the sites one step hits from an
 /// enabled run's accumulator (per rank: one PhaseClock branch per phase,
 /// one begin_step branch, one backend per-step hook), (3) times a
-/// critpath-off run.  SIMCOV_CRITPATH is unset for the duration (and
-/// restored after) so an environment-enabled analysis cannot contaminate
-/// the "off" measurements.
+/// critpath-off run.  Both runs start from an all-off obs::Config.
 inline CritPathOverheadReport measure_critpath_overhead(
     const harness::RunSpec& spec, int ranks) {
   CritPathOverheadReport r;
-  const char* prev_env =
-      std::getenv("SIMCOV_CRITPATH");  // NOLINT(concurrency-mt-unsafe)
-  const std::string prev = prev_env != nullptr ? prev_env : "";
-  ::unsetenv("SIMCOV_CRITPATH");  // NOLINT(concurrency-mt-unsafe)
 
   {
     // The disabled path in PhaseClock::begin_step/phase_end (and the
@@ -646,34 +583,15 @@ inline CritPathOverheadReport measure_critpath_overhead(
     r.ns_per_site = best > 0.0 ? best : 0.0;
   }
 
-  {
-    gpu::GpuSimOptions opt;
-    opt.num_ranks = ranks;
-    opt.decomp = spec.decomp;
-    opt.area_scale = spec.area_scale;
-    opt.critpath = true;
-    const gpu::GpuRunResult analyzed =
-        gpu::run_gpu_sim(spec.params, spec.resolve_foi(), opt);
-    // Each rank pays one disabled branch per phase boundary plus one each
-    // for begin_step and the backend's per-step hook; the enabled run's
-    // accumulator knows the real rank/phase counts.
-    r.sites_per_step =
-        static_cast<double>(analyzed.critpath.num_ranks()) *
-        static_cast<double>(analyzed.critpath.num_phases() + 2);
-  }
-
-  {
-    const auto t0 = std::chrono::steady_clock::now();
-    harness::run_gpu(spec, ranks);
-    const auto t1 = std::chrono::steady_clock::now();
-    r.step_ns = std::chrono::duration<double, std::nano>(t1 - t0).count() /
-                static_cast<double>(spec.params.num_steps);
-  }
-
-  if (prev_env != nullptr) {
-    ::setenv("SIMCOV_CRITPATH", prev.c_str(),
-             1);  // NOLINT(concurrency-mt-unsafe)
-  }
+  harness::RunSpec on = all_off(spec);
+  on.obs.critpath = true;
+  const obs::CritPathAccum analyzed = harness::run_gpu(on, ranks).critpath;
+  // Each rank pays one disabled branch per phase boundary plus one each for
+  // begin_step and the backend's per-step hook; the enabled run's
+  // accumulator knows the real rank/phase counts.
+  r.sites_per_step = static_cast<double>(analyzed.num_ranks()) *
+                     static_cast<double>(analyzed.num_phases() + 2);
+  r.step_ns = off_step_ns(spec, ranks);
   return r;
 }
 

@@ -37,10 +37,10 @@ int main() {
     spec.area_scale = bench::kCpuAreaScale;
     const auto c = rep.run_cpu("cpu " + std::to_string(paper_cpus), spec,
                               bench::cpu_ranks_for(paper_cpus));
-    gpu_t.push_back(g.modeled_seconds);
-    cpu_t.push_back(c.modeled_seconds);
-    t.add_row({fmt_resources(gpus, paper_cpus), fmt(c.modeled_seconds),
-               fmt(g.modeled_seconds), fmt(harness::speedup(c, g)),
+    gpu_t.push_back(g.cost.total_s);
+    cpu_t.push_back(c.cost.total_s);
+    t.add_row({fmt_resources(gpus, paper_cpus), fmt(c.cost.total_s),
+               fmt(g.cost.total_s), fmt(harness::speedup(c, g)),
                fmt(paper_speedups[i]), fmt(cpu_t[0] / (1 << i)),
                fmt(gpu_t[0] / (1 << i))});
     std::fprintf(stderr, "  ran {%d,%d}\n", gpus, paper_cpus);

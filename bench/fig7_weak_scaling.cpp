@@ -37,12 +37,12 @@ int main() {
     spec.area_scale = bench::kCpuAreaScale;
     const auto c = rep.run_cpu("cpu " + std::to_string(paper_cpus), spec,
                               bench::cpu_ranks_for(paper_cpus));
-    gpu_t.push_back(g.modeled_seconds);
-    cpu_t.push_back(c.modeled_seconds);
+    gpu_t.push_back(g.cost.total_s);
+    cpu_t.push_back(c.cost.total_s);
     t.add_row({fmt_resources(gpus, paper_cpus),
                std::to_string(dims_x[i]) + "x" + std::to_string(dims_y[i]),
-               std::to_string(foi), fmt(c.modeled_seconds),
-               fmt(g.modeled_seconds), fmt(harness::speedup(c, g)),
+               std::to_string(foi), fmt(c.cost.total_s),
+               fmt(g.cost.total_s), fmt(harness::speedup(c, g)),
                fmt(paper_speedups[i])});
     std::fprintf(stderr, "  ran {%d,%d} %dx%d\n", gpus, paper_cpus,
                  dims_x[i], dims_y[i]);

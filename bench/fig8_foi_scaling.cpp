@@ -44,10 +44,10 @@ int main() {
     spec.area_scale = bench::kCpuAreaScale;
     const auto c = rep.run_cpu("cpu foi " + std::to_string(foi), spec,
                               bench::cpu_ranks_for(512));
-    gpu_t.push_back(g.modeled_seconds);
-    cpu_t.push_back(c.modeled_seconds);
-    t.add_row({std::to_string(foi), fmt(c.modeled_seconds),
-               fmt(g.modeled_seconds), fmt(harness::speedup(c, g)),
+    gpu_t.push_back(g.cost.total_s);
+    cpu_t.push_back(c.cost.total_s);
+    t.add_row({std::to_string(foi), fmt(c.cost.total_s),
+               fmt(g.cost.total_s), fmt(harness::speedup(c, g)),
                i < 4 ? fmt(paper_speedups[i]) : std::string("n/a*")});
     std::fprintf(stderr, "  ran FOI=%lld\n", foi);
     ++i;

@@ -38,9 +38,9 @@ int main() {
   const double voxel_steps_cpu = 256.0 * 256.0 * bench::kCpuAreaScale *
                                  bench::kCpuRankCompression * 300.0;
   // Per-unit rates, normalized to the resources used (4 GPUs / 128 cores).
-  const double s_per_voxelstep_per_gpu = g.modeled_seconds * 4.0 / voxel_steps_gpu;
+  const double s_per_voxelstep_per_gpu = g.cost.total_s * 4.0 / voxel_steps_gpu;
   const double s_per_voxelstep_per_core =
-      c.modeled_seconds * 128.0 / voxel_steps_cpu;
+      c.cost.total_s * 128.0 / voxel_steps_cpu;
 
   std::printf("measured: %.3g s/voxel-step/GPU, %.3g s/voxel-step/core\n\n",
               s_per_voxelstep_per_gpu, s_per_voxelstep_per_core);

@@ -63,11 +63,11 @@ int main(int argc, char** argv) {
                          "update agents (s)", "reduce stats (s)"});
     t.add_row({"reference (serial)", "1 host core", "n/a", "n/a", "n/a"});
     t.add_row({"SIMCoV-CPU", std::to_string(cpu_ranks) + " ranks (x16 cores)",
-               simcov::fmt(cpu.modeled_seconds),
+               simcov::fmt(cpu.cost.total_s),
                simcov::fmt(cpu.cost.update_agents_s()),
                simcov::fmt(cpu.cost.reduce_stats_s())});
     t.add_row({"SIMCoV-GPU", std::to_string(gpu_ranks) + " virtual GPUs",
-               simcov::fmt(gpu.modeled_seconds),
+               simcov::fmt(gpu.cost.total_s),
                simcov::fmt(gpu.cost.update_agents_s()),
                simcov::fmt(gpu.cost.reduce_stats_s())});
     std::printf("%s\n", t.to_string().c_str());

@@ -1,10 +1,8 @@
 #include "gpusim/check.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <sstream>
-#include <string_view>
 
 #include "util/error.hpp"
 
@@ -34,17 +32,6 @@ std::string who_str(std::uint32_t block, std::uint32_t thread,
 }
 
 }  // namespace
-
-KernelCheckOptions kernel_check_env() {
-  KernelCheckOptions opts;
-  const char* env = std::getenv("SIMCOV_KERNEL_CHECK");  // NOLINT(concurrency-mt-unsafe)
-  if (env == nullptr) return opts;
-  std::string_view v(env);
-  if (v.empty() || v == "0") return opts;
-  opts.check_access = true;
-  if (v == "permute") opts.permute_schedules = true;
-  return opts;
-}
 
 std::vector<std::uint64_t> seeded_permutation(std::uint64_t seed,
                                               std::uint64_t n) {

@@ -56,15 +56,16 @@
 // independence for that input.  Neither proves anything about launches
 // that were never run.
 //
-// Enablement mirrors the PGAS checker: DeviceOptions (device.hpp) or
+// Enablement mirrors the PGAS checker: obs::Config::kernel_check / permute
+// in DeviceOptions (device.hpp), whose default is the environment's
 // SIMCOV_KERNEL_CHECK=1 (access checking) / SIMCOV_KERNEL_CHECK=permute
 // (access checking + permutation).  A raw Device throws simcov::Error at
 // the end of the offending launch; the SPMD GPU backend constructs its
 // devices with deferred reporting — a rank thread that threw mid-step
-// would desert the team barrier and hang its peers — and run_gpu_sim()
-// throws one aggregated Error after all ranks joined.  When disabled the
-// hooks cost one null-pointer branch per access (gated ≤2% of step time
-// by bench/obs_overhead).
+// would desert the team barrier and hang its peers — and the SPMD driver
+// (spmd/run.hpp) throws one aggregated Error after all ranks joined.  When
+// disabled the hooks cost one null-pointer branch per access (gated ≤2% of
+// step time by bench/obs_overhead).
 //
 // The checker is deliberately unsynchronized: one Device (and therefore
 // one checker) belongs to one rank thread.
@@ -78,17 +79,13 @@
 
 namespace simcov::gpusim {
 
-/// What to check.  Aggregated into DeviceOptions (device.hpp).
+/// What to check.  The Device builds it from DeviceOptions (device.hpp).
 struct KernelCheckOptions {
   bool check_access = false;      ///< shadow access-set race detection
   bool permute_schedules = false; ///< re-execute launches, diff bit-for-bit
   bool defer_report = false;      ///< record; the owner throws after join
   bool enabled() const { return check_access || permute_schedules; }
 };
-
-/// Parses SIMCOV_KERNEL_CHECK: unset/""/"0" = off, "permute" = access
-/// checking + schedule permutation, anything else truthy = access checking.
-KernelCheckOptions kernel_check_env();
 
 /// Deterministic Fisher–Yates permutation of [0, n) keyed by `seed`
 /// (splitmix64-driven; no global RNG state).

@@ -20,7 +20,7 @@
 //     and phases separated by sync() see each other's writes (the
 //     __syncthreads model; threads within a phase run sequentially, which
 //     is a legal schedule of a data-race-free CUDA block).
-//   * Opt-in (DeviceOptions / SIMCOV_KERNEL_CHECK): KernelCheck
+//   * Opt-in (DeviceOptions::obs / SIMCOV_KERNEL_CHECK): KernelCheck
 //     (gpusim/check.hpp) shadow-checks every access for intra-launch races
 //     and can re-execute each launch under permuted thread schedules to
 //     certify bit-for-bit determinism.
@@ -31,8 +31,9 @@
 #include <vector>
 
 #include "gpusim/check.hpp"
-#include "obs/memscope.hpp"  // header-only memory registry; no obs link dep
-#include "obs/profile.hpp"   // header-only profiler core; no obs link dep
+#include "obs/config.hpp"
+#include "obs/memscope.hpp"  // header-only memory registry
+#include "obs/profile.hpp"   // header-only profiler core
 #include "util/error.hpp"
 
 namespace simcov::gpusim {
@@ -97,21 +98,15 @@ struct LaunchConfig {
   }
 };
 
-/// Opt-in analyses; merged (OR) with the SIMCOV_KERNEL_CHECK environment
-/// override, mirroring the PGAS checker's UX.
+/// Opt-in analyses.  The Device reads kernel_check / permute (KernelCheck),
+/// profile (KernelProf) and memscope (MemScope) from `obs`, which defaults
+/// to the parsed environment (obs/config.hpp).
 struct DeviceOptions {
-  bool check_kernels = false;      ///< KernelCheck access checking
-  bool permute_schedules = false;  ///< re-run launches under permuted orders
+  obs::Config obs = obs::Config::from_env();
   /// Record findings instead of throwing at end of launch; the owner
   /// (run_gpu_sim) reports after all rank threads joined.  A rank thread
   /// throwing mid-step would desert the team barrier and hang its peers.
   bool defer_check_report = false;
-  /// KernelProf (obs/profile.hpp): per-launch wall time and per-buffer
-  /// byte attribution.  Also enabled by SIMCOV_PROFILE=1.
-  bool profile = false;
-  /// MemScope (obs/memscope.hpp): named per-buffer allocation registry.
-  /// Also enabled by SIMCOV_MEMSCOPE=1.
-  bool memscope = false;
 };
 
 template <typename T>
@@ -123,21 +118,14 @@ class BlockCtx;
 /// paper runs one process per GPU).
 class Device {
  public:
-  explicit Device(int id, DeviceOptions opts = {}) : id_(id) {
-    KernelCheckOptions copts = kernel_check_env();
-    copts.check_access = copts.check_access || opts.check_kernels;
-    copts.permute_schedules =
-        copts.permute_schedules || opts.permute_schedules;
-    copts.defer_report = opts.defer_check_report;
+  explicit Device(int id, const DeviceOptions& opts = {}) : id_(id) {
+    const KernelCheckOptions copts{opts.obs.kernel_check, opts.obs.permute,
+                                   opts.defer_check_report};
     if (copts.enabled()) {
       checker_ = std::make_unique<KernelChecker>(copts);
     }
-    if (opts.profile || obs::profile_env()) {
-      prof_ = std::make_unique<obs::KernelProf>();
-    }
-    if (opts.memscope || obs::memscope_env() || obs::memscope_on()) {
-      mem_ = std::make_unique<obs::MemScope>();
-    }
+    if (opts.obs.profile) prof_ = std::make_unique<obs::KernelProf>();
+    if (opts.obs.memscope) mem_ = std::make_unique<obs::MemScope>();
   }
 
   Device(const Device&) = delete;

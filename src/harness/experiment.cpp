@@ -19,31 +19,30 @@ std::vector<VoxelId> RunSpec::resolve_foi() const {
   return foi_uniform_random(grid, params.num_foi, params.seed);
 }
 
-pgas::CommStats BackendResult::comm_total() const {
-  pgas::CommStats total;
-  for (const auto& s : comm_by_rank) total += s;
-  return total;
-}
-
 namespace {
 
-/// Seconds elapsed on the host steady clock since `t0` — the measured side
-/// of the drift report (the modeled side comes from the cost model).
-double wall_since(obs::Nanos t0) {
-  return static_cast<double>(obs::now_ns() - t0) / 1e9;
+/// Runs `sim` (which returns a backend's spmd::RunResult) and times the
+/// call on the host steady clock — the measured side of the drift report
+/// (the modeled side comes from the cost model).
+template <typename Sim>
+BackendResult timed(Sim&& sim) {
+  const obs::Nanos t0 = obs::now_ns();
+  BackendResult out{sim()};
+  out.measured_wall_s = static_cast<double>(obs::now_ns() - t0) / 1e9;
+  return out;
 }
 
 }  // namespace
 
 BackendResult run_reference(const RunSpec& spec) {
   const std::vector<VoxelId> foi = spec.resolve_foi();
-  const obs::Nanos t0 = obs::now_ns();
-  ReferenceSim sim(spec.params, foi);
-  sim.run(spec.params.num_steps);
-  BackendResult out;
-  out.measured_wall_s = wall_since(t0);
-  out.history = sim.history();
-  return out;
+  return timed([&] {
+    ReferenceSim sim(spec.params, foi, spec.empty_voxels);
+    sim.run(spec.params.num_steps);
+    spmd::RunResult r;
+    r.history = sim.history();
+    return r;
+  });
 }
 
 BackendResult run_cpu(const RunSpec& spec, int cpu_ranks) {
@@ -51,23 +50,11 @@ BackendResult run_cpu(const RunSpec& spec, int cpu_ranks) {
   opt.num_ranks = cpu_ranks;
   opt.decomp = spec.decomp;
   opt.area_scale = spec.area_scale;
-  opt.memscope = spec.memscope;
-  opt.critpath = spec.critpath;
+  opt.obs = spec.obs;
   const std::vector<VoxelId> foi = spec.resolve_foi();
-  const obs::Nanos t0 = obs::now_ns();
-  cpu::CpuRunResult r = cpu::run_cpu_sim(spec.params, foi, opt);
-  BackendResult out;
-  out.measured_wall_s = wall_since(t0);
-  out.history = std::move(r.history);
-  out.cost = r.cost;
-  out.modeled_seconds = r.cost.total_s;
-  out.comm_by_rank = std::move(r.comm_by_rank);
-  out.memory = std::move(r.memory);
-  out.mem_modeled_by_category = std::move(r.mem_modeled_by_category);
-  out.critpath = r.critpath;
-  out.step_loop_wall_s = r.step_loop_wall_s;
-  out.step_tail_s = r.step_tail_s;
-  return out;
+  return timed([&] {
+    return cpu::run_cpu_sim(spec.params, foi, opt, spec.empty_voxels);
+  });
 }
 
 BackendResult run_gpu(const RunSpec& spec, int gpu_ranks,
@@ -77,33 +64,16 @@ BackendResult run_gpu(const RunSpec& spec, int gpu_ranks,
   opt.decomp = spec.decomp;
   opt.variant = variant;
   opt.area_scale = spec.area_scale;
-  opt.check_kernels = spec.check_kernels;
-  opt.permute_schedules = spec.permute_schedules;
-  opt.profile = spec.profile;
-  opt.memscope = spec.memscope;
-  opt.critpath = spec.critpath;
+  opt.obs = spec.obs;
   const std::vector<VoxelId> foi = spec.resolve_foi();
-  const obs::Nanos t0 = obs::now_ns();
-  gpu::GpuRunResult r = gpu::run_gpu_sim(spec.params, foi, opt);
-  BackendResult out;
-  out.measured_wall_s = wall_since(t0);
-  out.history = std::move(r.history);
-  out.cost = r.cost;
-  out.modeled_seconds = r.cost.total_s;
-  out.comm_by_rank = std::move(r.comm_by_rank);
-  out.kernel_profile = std::move(r.kernel_profile);
-  out.memory = std::move(r.memory);
-  out.mem_modeled_by_category = std::move(r.mem_modeled_by_category);
-  out.peak_allocated_bytes = r.device_total.peak_allocated_bytes;
-  out.critpath = r.critpath;
-  out.step_loop_wall_s = r.step_loop_wall_s;
-  out.step_tail_s = r.step_tail_s;
-  return out;
+  return timed([&] {
+    return gpu::run_gpu_sim(spec.params, foi, opt, spec.empty_voxels);
+  });
 }
 
 double speedup(const BackendResult& cpu, const BackendResult& gpu) {
-  SIMCOV_REQUIRE(gpu.modeled_seconds > 0.0, "GPU runtime is zero");
-  return cpu.modeled_seconds / gpu.modeled_seconds;
+  SIMCOV_REQUIRE(gpu.cost.total_s > 0.0, "GPU runtime is zero");
+  return cpu.cost.total_s / gpu.cost.total_s;
 }
 
 namespace {
@@ -121,21 +91,15 @@ void require_writable(const std::string& path, const char* what) {
 
 }  // namespace
 
-void configure_observability(const std::string& trace_path,
-                             const std::string& metrics_path,
-                             std::size_t trace_ring) {
-  if (!trace_path.empty()) {
-    require_writable(trace_path, "trace");
-    obs::tracer().enable(trace_path, trace_ring);
-  } else if (trace_ring > 0 && obs::tracer().enabled()) {
-    // --trace-ring with SIMCOV_TRACE: re-enable in place with the requested
-    // capacity (drops any spans recorded before the run starts, which is
-    // the same reset enable() always performs).
-    obs::tracer().enable(obs::tracer().path(), trace_ring);
+void configure_observability(const obs::Config& config) {
+  if (!config.trace_path.empty()) {
+    require_writable(config.trace_path, "trace");
+    obs::tracer().enable(config.trace_path, config.trace_ring);
   }
-  if (!metrics_path.empty()) {
-    require_writable(metrics_path, "metrics");
-    obs::metrics().enable(metrics_path);
+  obs::metrics().set_series_cap(config.series_cap);
+  if (!config.metrics_path.empty()) {
+    require_writable(config.metrics_path, "metrics");
+    obs::metrics().enable(config.metrics_path);
   }
 }
 

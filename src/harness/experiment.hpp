@@ -8,20 +8,15 @@
 // resources and return both the scientific output (time series) and the
 // modeled runtime from the performance model.
 
-#include <cstddef>
-#include <cstdint>
-#include <map>
-#include <string>
 #include <vector>
 
 #include "core/decomposition.hpp"
 #include "core/foi.hpp"
 #include "core/params.hpp"
-#include "core/stats.hpp"
-#include "pgas/comm_stats.hpp"
-#include "perfmodel/cost_model.hpp"
+#include "obs/config.hpp"
 #include "simcov_cpu/cpu_sim.hpp"
 #include "simcov_gpu/gpu_sim.hpp"
+#include "spmd/run.hpp"
 
 namespace simcov::harness {
 
@@ -30,71 +25,27 @@ struct RunSpec {
   /// Explicit FOI voxels; when empty, params.num_foi uniform-random seeds
   /// (keyed by params.seed) are generated.
   std::vector<VoxelId> foi;
+  /// Voxels with no tissue (airway lumens); empty = solid tissue.
+  std::vector<VoxelId> empty_voxels;
   /// Modeled-time extrapolation factor: paper-scale voxels / our voxels.
   double area_scale = 1.0;
   /// Sub-domain shape (paper Fig. 1B); the decomposition ablation bench
   /// flips this to compare halo traffic.
   Decomposition::Kind decomp = Decomposition::Kind::kBlock2D;
-  /// KernelCheck (gpusim/check.hpp) for GPU runs: access-set race
-  /// detection, plus bit-determinism certification under permuted thread
-  /// schedules.  Also enabled by SIMCOV_KERNEL_CHECK.
-  bool check_kernels = false;
-  bool permute_schedules = false;
-  /// KernelProf (obs/profile.hpp) for GPU runs: per-launch wall time,
-  /// per-buffer byte attribution, and per-kernel roofline drift rows in
-  /// BackendResult::kernel_profile.  Also enabled by SIMCOV_PROFILE=1.
-  bool profile = false;
-  /// MemScope (obs/memscope.hpp) for CPU and GPU runs: per-buffer memory
-  /// registry, modeled-vs-measured memory drift inputs, and RSS sampling,
-  /// surfaced in BackendResult::memory.  Also enabled by SIMCOV_MEMSCOPE=1.
-  bool memscope = false;
-  /// CritPath (obs/critpath.hpp) for CPU and GPU runs: per-step binding-rank
-  /// analysis accumulated into BackendResult::critpath.  Also enabled by
-  /// SIMCOV_CRITPATH=1; digests stay bit-identical with it on or off.
-  bool critpath = false;
+  /// Instruments and checkers for CPU and GPU runs (obs/config.hpp);
+  /// defaults to the parsed environment.
+  obs::Config obs = obs::Config::from_env();
 
   std::vector<VoxelId> resolve_foi() const;
 };
 
-struct BackendResult {
-  TimeSeries history;
-  perfmodel::RunCost cost;
-  double modeled_seconds = 0.0;  ///< == cost.total_s
+/// A backend's spmd::RunResult plus the harness's own measurement.  The
+/// serial reference fills only history and measured_wall_s.
+struct BackendResult : spmd::RunResult {
   /// Host wall-clock seconds of the simulation call itself (excludes FOI
   /// resolution and report building) — the *measured* side of the
-  /// measured-vs-modeled drift report.  Zero only if a backend forgets to
-  /// time itself.
+  /// measured-vs-modeled drift report.
   double measured_wall_s = 0.0;
-  /// Per-rank communication counters from the run, including the
-  /// per-destination comm matrix (empty for the serial reference).
-  std::vector<pgas::CommStats> comm_by_rank;
-  /// KernelProf per-(phase,kernel) aggregates summed over ranks (GPU runs
-  /// with RunSpec::profile only; empty otherwise).
-  std::vector<obs::KernelStats> kernel_profile;
-  /// MemScope per-buffer report merged over ranks (runs with
-  /// RunSpec::memscope only; empty otherwise).
-  obs::MemReport memory;
-  /// Memory-model prediction by category summed over ranks (the modeled
-  /// side of the memory drift rows; empty when memscope is off).
-  std::map<std::string, double> mem_modeled_by_category;
-  /// Device allocator watermark summed over devices — tracked even with
-  /// MemScope off, so every GPU result carries a peak (zero for CPU and
-  /// reference runs, which have no device allocator).
-  std::uint64_t peak_allocated_bytes = 0;
-  /// CritPath accumulator (runs with RunSpec::critpath only; steps() == 0
-  /// otherwise).  Feed obs::build_critpath_report for the report/what-if
-  /// side.
-  obs::CritPathAccum critpath;
-  /// Host wall time of the backend's step loop alone (post-init barrier to
-  /// post-loop barrier) — the reconciliation target for the critical path.
-  /// Zero for the serial reference, which has no rank loop.
-  double step_loop_wall_s = 0.0;
-  /// Step-loop host work outside the phase spans (observability tail),
-  /// min-folded over ranks.  critical path + tail ~= step_loop_wall_s.
-  double step_tail_s = 0.0;
-
-  /// Sum of comm_by_rank (all ranks' counters + merged comm matrix).
-  pgas::CommStats comm_total() const;
 };
 
 /// Serial reference run (no cost model; correctness baseline).
@@ -113,17 +64,12 @@ constexpr int cpus_for_gpus(int gpus) { return 32 * gpus; }
 /// Formats a speedup annotation as in Figs. 6-8 (CPU runtime / GPU runtime).
 double speedup(const BackendResult& cpu, const BackendResult& gpu);
 
-/// Enables the process-wide tracer and/or metrics registry (src/obs) for the
-/// given output paths; an empty path leaves the corresponding collector as
-/// configured by the environment (SIMCOV_TRACE / SIMCOV_METRICS).  Paths are
-/// validated up front — an unwritable path throws simcov::Error immediately
-/// rather than after the simulation has run.  `trace_ring` > 0 overrides the
-/// tracer's ring capacity (--trace-ring=N); 0 defers to SIMCOV_TRACE_RING or
-/// the built-in default.  A ring override with no trace path re-sizes an
-/// environment-enabled tracer in place.
-void configure_observability(const std::string& trace_path,
-                             const std::string& metrics_path,
-                             std::size_t trace_ring = 0);
+/// Points the process-wide tracer and metrics registry (src/obs) at the
+/// config's trace and metrics paths (a set path enables its collector, the
+/// tracer with the config's ring size) and applies its series cap.  Paths
+/// are validated up front — an unwritable path throws simcov::Error
+/// immediately rather than after the simulation has run.
+void configure_observability(const obs::Config& config);
 
 /// Flushes the trace and metrics to their configured paths and, when metrics
 /// were collected, prints the measured per-phase wall-clock breakdown table

@@ -42,20 +42,11 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace simcov::obs {
-
-/// SIMCOV_CRITPATH=<anything but empty/"0"> enables critical-path analysis
-/// for every sim run in the process (same contract as SIMCOV_MEMSCOPE).
-inline bool critpath_env() {
-  const char* e = std::getenv("SIMCOV_CRITPATH");  // NOLINT(concurrency-mt-unsafe)
-  return e != nullptr && *e != '\0' && std::string_view(e) != "0";
-}
 
 /// Upper bound on distinct phases a collector can hold.  perfmodel has 6;
 /// the slack keeps this header decoupled from the enum without reallocating.

@@ -3,8 +3,8 @@
 //
 // ROADMAP item 2 (TeraAgent-scale memory) needs "same RSS at 16x grid" to be
 // a checkable gate, which requires knowing where every byte lives.  MemScope
-// is the memory-side twin of KernelProf: when enabled (DeviceOptions::
-// memscope, --memscope=1 or SIMCOV_MEMSCOPE=1), every named DeviceBuffer
+// is the memory-side twin of KernelProf: when enabled (obs::Config::memscope:
+// --memscope=1 or SIMCOV_MEMSCOPE=1), every named DeviceBuffer
 // alloc/resize/free updates a per-buffer registry slot (live bytes, peak
 // watermark, alloc/free event counts), aggregated per category — voxel
 // fields, tile metadata, halo staging, stats — plus host-side accounting for
@@ -21,16 +21,16 @@
 // relaxed-atomic flag) branch per allocation event and per phase boundary;
 // asserted by bench/obs_overhead.cpp like the tracer/checker/profiler gates.
 //
-// Layering: this header is self-contained (no obs/ or perfmodel/ link
-// dependencies) so gpusim — which links only simcov_util — can own a
-// MemScope, mirroring obs/profile.hpp.  The model/report side (memory drift
-// rows, per-buffer table) lives in memscope.cpp inside simcov_benchreport.
+// Layering: this header is self-contained (no perfmodel/ or report-side
+// link dependencies) so gpusim — which links only simcov_util and
+// simcov_obs — can own a MemScope, mirroring obs/profile.hpp.  The
+// model/report side (memory drift rows, per-buffer table) lives in
+// memscope.cpp inside simcov_benchreport.
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <deque>
 #include <map>
 #include <mutex>
@@ -39,14 +39,6 @@
 #include <vector>
 
 namespace simcov::obs {
-
-/// SIMCOV_MEMSCOPE=<anything but empty/"0"> enables memory accounting for
-/// every Device / pgas::Rank / CpuSim in the process.  Re-read per call
-/// (construction only), mirroring SIMCOV_PROFILE.
-inline bool memscope_env() {
-  const char* e = std::getenv("SIMCOV_MEMSCOPE");  // NOLINT(concurrency-mt-unsafe)
-  return e != nullptr && *e != '\0' && std::string_view(e) != "0";
-}
 
 /// Process-wide activation flag, read by construction sites that have no
 /// options plumbing of their own (pgas::Rank, PhaseClock's RSS sampling).
@@ -60,13 +52,14 @@ inline bool memscope_on() {
   return memscope_flag().load(std::memory_order_relaxed);
 }
 
-/// RAII activation for run_gpu_sim/run_cpu_sim: raises the process flag
-/// (options or environment) before ranks are constructed, restores after.
+/// RAII activation for spmd::run_spmd: raises the process flag (when the
+/// run's obs::Config asks for MemScope) before ranks are constructed,
+/// restores it after.
 class MemScopeRun {
  public:
   explicit MemScopeRun(bool enable)
       : prev_(memscope_flag().load(std::memory_order_relaxed)) {
-    if (enable || memscope_env()) {
+    if (enable) {
       memscope_flag().store(true, std::memory_order_relaxed);
     }
   }

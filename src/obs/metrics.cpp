@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -74,12 +73,9 @@ double HistSummary::quantile(double q) const {
 }
 
 MetricsRegistry::MetricsRegistry() {
-  const char* cap = std::getenv("SIMCOV_SERIES_CAP");  // NOLINT(concurrency-mt-unsafe)
-  if (cap != nullptr && *cap != '\0') {
-    series_cap_ = static_cast<std::size_t>(std::strtoull(cap, nullptr, 10));
-  }
-  const char* e = std::getenv("SIMCOV_METRICS");  // NOLINT(concurrency-mt-unsafe)
-  if (e != nullptr && *e != '\0') enable(e);
+  const Config c = Config::from_env();
+  series_cap_ = c.series_cap;
+  if (!c.metrics_path.empty()) enable(c.metrics_path);
 }
 
 MetricsRegistry::~MetricsRegistry() {

@@ -27,6 +27,8 @@
 #include <utility>
 #include <vector>
 
+#include "obs/config.hpp"
+
 namespace simcov::obs {
 
 /// Histogram summary: count / sum / min / max plus fixed log-spaced (base-2)
@@ -72,11 +74,10 @@ class MetricsRegistry {
  public:
   /// Default per-series retention cap (samples per (name, rank)); override
   /// with set_series_cap / --series-cap=N / SIMCOV_SERIES_CAP.
-  static constexpr std::size_t kDefaultSeriesCap = 4096;
+  static constexpr std::size_t kDefaultSeriesCap = obs::kDefaultSeriesCap;
 
-  /// Reads SIMCOV_METRICS once; a non-empty value enables collection with
-  /// that output path.  SIMCOV_SERIES_CAP (a non-negative integer; 0 =
-  /// unlimited) overrides the default series retention cap.
+  /// Takes the series cap and, when set, the output path from
+  /// obs::Config::from_env() (SIMCOV_SERIES_CAP, SIMCOV_METRICS).
   MetricsRegistry();
   /// Last-chance flush, mirroring the tracer.
   ~MetricsRegistry();

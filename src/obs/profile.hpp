@@ -4,31 +4,30 @@
 // The perfmodel prices *aggregate* counters per phase; the drift tables in
 // BENCH_*.json therefore say which phase is off the model but not which of
 // the ~19 named kernel launches inside it.  KernelProf closes that gap: when
-// enabled (DeviceOptions::profile or SIMCOV_PROFILE=1), every GlobalSpan
-// bind resolves its byte/atomic counter pointers to a per-buffer slot
-// instead of the DeviceStats aggregates, so each launch records wall ns,
-// launch config, active threads, and bytes read/written *per named
+// enabled (obs::Config::profile: --profile=1 or SIMCOV_PROFILE=1), every
+// GlobalSpan bind resolves its byte/atomic counter pointers to a per-buffer
+// slot instead of the DeviceStats aggregates, so each launch records wall
+// ns, launch config, active threads, and bytes read/written *per named
 // DeviceBuffer* — at zero added cost per access (the increment was always
 // through a pointer; only its target changes) and one extra null-pointer
 // branch per buffer *bind*.  At end of launch the per-buffer deltas are
 // folded back into DeviceStats, so modeled seconds are bit-identical with
 // profiling on or off.
 //
-// Layering: this header is self-contained (no obs/ or perfmodel/ link
-// dependencies) so gpusim — which links only simcov_util — can own a
-// KernelProf.  The pricing/report side (kernel_drift_rows: achieved GB/s,
-// arithmetic intensity, roofline utilization against perfmodel/machine.hpp)
-// lives in profile.cpp, compiled into simcov_benchreport.
+// Layering: this header is self-contained (no perfmodel/ or report-side
+// link dependencies) so gpusim — which links only simcov_util and
+// simcov_obs — can own a KernelProf.  The pricing/report side
+// (kernel_drift_rows: achieved GB/s, arithmetic intensity, roofline
+// utilization against perfmodel/machine.hpp) lives in profile.cpp, compiled
+// into simcov_benchreport.
 
 #include <array>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <deque>
 #include <map>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -38,16 +37,8 @@ struct MachineSpec;
 
 namespace simcov::obs {
 
-/// SIMCOV_PROFILE=<anything but empty/"0"> enables profiling for every
-/// Device in the process.  Re-read per call (Device construction only) so
-/// benches can toggle it between runs, mirroring SIMCOV_KERNEL_CHECK.
-inline bool profile_env() {
-  const char* e = std::getenv("SIMCOV_PROFILE");  // NOLINT(concurrency-mt-unsafe)
-  return e != nullptr && *e != '\0' && std::string_view(e) != "0";
-}
-
-/// Monotonic nanoseconds.  Local to this header (not obs::now_ns) so that
-/// including it from gpusim does not create a link dependency on simcov_obs.
+/// Monotonic nanoseconds, header-only so the profiler core stays
+/// self-contained.
 inline std::uint64_t prof_now_ns() {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(

@@ -5,11 +5,11 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <thread>
 
+#include "obs/config.hpp"
 #include "obs/json.hpp"
 #include "obs/summary.hpp"
 #include "util/error.hpp"
@@ -382,12 +382,9 @@ std::string BenchReport::to_json() const {
 }
 
 std::string BenchReport::path() const {
-  std::string dir = ".";
   // Read at write time, not construction: tests set SIMCOV_BENCH_DIR before
   // the report is written, never concurrently with it.
-  const char* e = std::getenv("SIMCOV_BENCH_DIR");  // NOLINT(concurrency-mt-unsafe)
-  if (e != nullptr && *e != '\0') dir = e;
-  return dir + "/BENCH_" + name_ + ".json";
+  return Config::from_env().bench_dir + "/BENCH_" + name_ + ".json";
 }
 
 void BenchReport::write() const {

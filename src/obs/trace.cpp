@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <ostream>
 #include <sstream>
 
+#include "obs/config.hpp"
 #include "obs/json.hpp"
 #include "util/error.hpp"
 
@@ -20,8 +20,8 @@ Nanos now_ns() {
 }
 
 Tracer::Tracer() {
-  const char* e = std::getenv("SIMCOV_TRACE");  // NOLINT(concurrency-mt-unsafe)
-  if (e != nullptr && *e != '\0') enable(e);
+  const Config c = Config::from_env();
+  if (!c.trace_path.empty()) enable(c.trace_path, c.trace_ring);
 }
 
 Tracer::~Tracer() {
@@ -35,25 +35,10 @@ Tracer::~Tracer() {
 }
 
 void Tracer::enable(std::string path, std::size_t capacity) {
-  if (capacity == 0) {
-    // Resolve the ring size from the environment (SIMCOV_TRACE_RING=N).
-    // Re-read on every enable() so tests and long-lived processes can
-    // adjust it between runs; nothing in the library calls setenv.
-    capacity = kDefaultCapacity;
-    const char* e = std::getenv("SIMCOV_TRACE_RING");  // NOLINT(concurrency-mt-unsafe)
-    if (e != nullptr && *e != '\0') {
-      char* end = nullptr;
-      const unsigned long long n = std::strtoull(e, &end, 10);
-      if (end != nullptr && *end == '\0' && n > 0) {
-        capacity = static_cast<std::size_t>(n);
-      } else {
-        std::fprintf(stderr,
-                     "simcov: ignoring invalid SIMCOV_TRACE_RING=%s "
-                     "(want a positive integer); using %zu\n",
-                     e, capacity);
-      }
-    }
-  }
+  // Re-read on every enable() so long-lived processes pick up the
+  // environment's ring size between runs.
+  if (capacity == 0) capacity = Config::from_env().trace_ring;
+  if (capacity == 0) capacity = kDefaultCapacity;
   std::lock_guard<std::mutex> lock(mutex_);
   path_ = std::move(path);
   capacity_ = capacity;

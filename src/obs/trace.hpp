@@ -84,8 +84,8 @@ class Tracer {
  public:
   static constexpr std::size_t kDefaultCapacity = 1u << 18;
 
-  /// Reads SIMCOV_TRACE once; a non-empty value enables tracing to that
-  /// path.  (Read before any rank threads exist; nothing calls setenv.)
+  /// Enables tracing to obs::Config::from_env().trace_path when it is set
+  /// (SIMCOV_TRACE).
   Tracer();
   /// Flushes to the configured path so SIMCOV_TRACE works for any binary
   /// even if it never calls flush() explicitly.
@@ -96,9 +96,9 @@ class Tracer {
 
   /// Starts collecting.  `path` may be empty (collect only, no auto-flush).
   /// Resets the ring, the drop counter and the time origin.  `capacity` = 0
-  /// (the default) resolves to the SIMCOV_TRACE_RING environment override
-  /// if set, else kDefaultCapacity; an explicit positive capacity (tests,
-  /// --trace-ring=N) always wins over the environment.
+  /// (the default) resolves to the environment's trace_ring
+  /// (SIMCOV_TRACE_RING), else kDefaultCapacity; an explicit positive
+  /// capacity (tests, --trace-ring=N) always wins over the environment.
   void enable(std::string path, std::size_t capacity = 0);
   /// Stops collecting and discards buffered spans.
   void disable();

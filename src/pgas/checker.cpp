@@ -113,6 +113,9 @@ void DisciplineChecker::on_collective_enter(RankId rank, CollectiveOp op,
   CollectiveMeta& m = collectives_[static_cast<std::size_t>(rank)];
   m.op.store(op, std::memory_order_relaxed);
   m.count.store(count, std::memory_order_relaxed);
+  m.epoch.store(epochs_[static_cast<std::size_t>(rank)].load(
+                    std::memory_order_relaxed),
+                std::memory_order_relaxed);
   m.seq.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -121,6 +124,7 @@ bool DisciplineChecker::on_collective_verify(RankId rank) {
   const std::uint64_t my_seq = mine.seq.load(std::memory_order_relaxed);
   const CollectiveOp my_op = mine.op.load(std::memory_order_relaxed);
   const std::uint64_t my_count = mine.count.load(std::memory_order_relaxed);
+  const std::uint64_t my_epoch = mine.epoch.load(std::memory_order_relaxed);
 
   bool all_matched = true;
   for (int r = 0; r < num_ranks_; ++r) {
@@ -129,7 +133,11 @@ bool DisciplineChecker::on_collective_verify(RankId rank) {
     const std::uint64_t o_seq = other.seq.load(std::memory_order_relaxed);
     const CollectiveOp o_op = other.op.load(std::memory_order_relaxed);
     const std::uint64_t o_count = other.count.load(std::memory_order_relaxed);
-    if (o_seq == my_seq && o_op == my_op && o_count == my_count) continue;
+    const std::uint64_t o_epoch = other.epoch.load(std::memory_order_relaxed);
+    if (o_seq == my_seq && o_op == my_op && o_count == my_count &&
+        o_epoch == my_epoch) {
+      continue;
+    }
     all_matched = false;
 
     // Canonical message (lower rank first) so both observers deduplicate to
@@ -138,17 +146,18 @@ bool DisciplineChecker::on_collective_verify(RankId rank) {
     const int rank_a = swap ? r : rank;
     const int rank_b = swap ? rank : r;
     const auto desc = [](CollectiveOp op, std::uint64_t count,
-                         std::uint64_t seq) {
+                         std::uint64_t seq, std::uint64_t epoch) {
       std::ostringstream d;
       d << collective_op_name(op) << "(len " << count << ") as collective #"
-        << seq;
+        << seq << " after " << epoch << " barrier(s)";
       return d.str();
     };
+    const std::string mine_desc = desc(my_op, my_count, my_seq, my_epoch);
+    const std::string other_desc = desc(o_op, o_count, o_seq, o_epoch);
     std::ostringstream os;
     os << "collective-mismatch: rank " << rank_a << " called "
-       << (swap ? desc(o_op, o_count, o_seq) : desc(my_op, my_count, my_seq))
-       << " but rank " << rank_b << " called "
-       << (swap ? desc(my_op, my_count, my_seq) : desc(o_op, o_count, o_seq))
+       << (swap ? other_desc : mine_desc) << " but rank " << rank_b
+       << " called " << (swap ? mine_desc : other_desc)
        << " — collectives must be entered by every rank with identical "
           "operation and shape";
     record_violation(os.str());

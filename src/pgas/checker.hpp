@@ -121,11 +121,16 @@ class DisciplineChecker {
 
   // Per-rank collective descriptor, written before the exchange barrier and
   // read by every rank after it (the barrier orders correct programs; the
-  // atomics keep incorrect ones diagnosable instead of undefined).
+  // atomics keep incorrect ones diagnosable instead of undefined).  `epoch`
+  // is the rank's barrier count at entry: in a matched program every rank
+  // enters its k-th collective after the same number of barriers, so a
+  // collective paired with a peer's plain barrier is caught however the
+  // threads interleave.
   struct CollectiveMeta {
     std::atomic<std::uint64_t> seq{0};
     std::atomic<CollectiveOp> op{CollectiveOp::kNone};
     std::atomic<std::uint64_t> count{0};
+    std::atomic<std::uint64_t> epoch{0};
   };
 
   void record_violation(const std::string& message);

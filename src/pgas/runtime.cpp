@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
-#include <string_view>
 #include <thread>
 
 #include "obs/metrics.hpp"
@@ -14,17 +12,6 @@
 #include "util/error.hpp"
 
 namespace simcov::pgas {
-
-namespace {
-
-bool env_check_enabled() {
-  // Read in the Runtime constructor, before rank threads exist; nothing in
-  // the library calls setenv.
-  const char* e = std::getenv("SIMCOV_PGAS_CHECK");  // NOLINT(concurrency-mt-unsafe)
-  return e != nullptr && *e != '\0' && std::string_view(e) != "0";
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // Rank
@@ -322,9 +309,8 @@ std::span<std::byte> Rank::channel_mutable(int chan) {
 // Runtime
 // ---------------------------------------------------------------------------
 
-Runtime::Runtime(int num_ranks, RuntimeOptions options)
-    : num_ranks_(num_ranks),
-      check_enabled_(options.check_discipline || env_check_enabled()) {
+Runtime::Runtime(int num_ranks, const RuntimeOptions& options)
+    : num_ranks_(num_ranks), check_enabled_(options.obs.pgas_check) {
   SIMCOV_REQUIRE(num_ranks >= 1, "runtime needs at least one rank");
   SIMCOV_REQUIRE(num_ranks <= 4096, "unreasonable rank count");
   barrier_ = std::make_unique<std::barrier<>>(num_ranks);

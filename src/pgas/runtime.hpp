@@ -22,12 +22,12 @@
 //     so reductions are bitwise reproducible run-to-run.
 //
 // The discipline is *checkable*: construct the Runtime with
-// RuntimeOptions{.check_discipline = true} (or set SIMCOV_PGAS_CHECK=1 in
-// the environment) and every violation — unbarriered channel read,
-// conflicting same-epoch puts, undrained RPC queues, mismatched collectives
-// — is recorded and reported as one aggregated simcov::Error when run()
-// returns.  See pgas/checker.hpp.  When checking is off, each primitive
-// pays a single null-pointer branch.
+// RuntimeOptions{.obs = {.pgas_check = true}} (the default options read
+// SIMCOV_PGAS_CHECK=1 from the environment) and every violation —
+// unbarriered channel read, conflicting same-epoch puts, undrained RPC
+// queues, mismatched collectives — is recorded and reported as one
+// aggregated simcov::Error when run() returns.  See pgas/checker.hpp.  When
+// checking is off, each primitive pays a single null-pointer branch.
 
 #include <barrier>
 #include <cstddef>
@@ -40,6 +40,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "obs/config.hpp"
 #include "obs/memscope.hpp"
 #include "pgas/comm_stats.hpp"
 
@@ -50,12 +51,11 @@ using RankId = int;
 class DisciplineChecker;
 class Runtime;
 
-/// Construction-time knobs for Runtime.
+/// Construction-time knobs for Runtime.  `obs.pgas_check` enables the
+/// discipline checker (pgas/checker.hpp) for every job this runtime
+/// executes; the default is the parsed environment (SIMCOV_PGAS_CHECK).
 struct RuntimeOptions {
-  /// Enables the PGAS discipline checker (pgas/checker.hpp) for every job
-  /// this runtime executes.  Also forced on by the environment variable
-  /// SIMCOV_PGAS_CHECK (any value other than empty/"0").
-  bool check_discipline = false;
+  obs::Config obs = obs::Config::from_env();
 };
 
 /// Handle given to each rank's SPMD function.  Not copyable; a Rank is valid
@@ -137,8 +137,8 @@ class Rank {
   const CommStats& stats() const { return stats_; }
 
   /// MemScope registry of this rank's host-side storage (channel landing
-  /// zones; non-null only while SIMCOV_MEMSCOPE / the memscope process flag
-  /// is raised at construction).  Touched only by the owning rank thread —
+  /// zones; non-null only while the memscope process flag is raised at
+  /// construction).  Touched only by the owning rank thread —
   /// peers putting into this rank's channels never reach the registry.
   obs::MemScope* memscope() { return mem_.get(); }
 
@@ -183,7 +183,7 @@ class Rank {
 /// "job" on the same team size).
 class Runtime {
  public:
-  explicit Runtime(int num_ranks, RuntimeOptions options = {});
+  explicit Runtime(int num_ranks, const RuntimeOptions& options = {});
   ~Runtime();
 
   Runtime(const Runtime&) = delete;
@@ -192,7 +192,7 @@ class Runtime {
   int num_ranks() const { return num_ranks_; }
 
   /// True when the discipline checker instruments this runtime's jobs
-  /// (either via RuntimeOptions or SIMCOV_PGAS_CHECK=1).
+  /// (RuntimeOptions::obs.pgas_check).
   bool checking_enabled() const { return check_enabled_; }
 
   /// Executes `fn(rank)` on every rank in its own thread and joins.  If any

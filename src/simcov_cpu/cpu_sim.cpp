@@ -65,8 +65,8 @@ class CpuRank {
       : rank_(rank), params_(params),
         grid_(params.dim_x, params.dim_y, params.dim_z),
         sub_(dec.sub(rank.id())), rng_(params.seed), registry_(registry),
-        cost_log_(model), pclock_(rank.id()) {
-    crit_ = critpath || obs::critpath_env();
+        cost_log_(model), pclock_(rank.id()), crit_(critpath) {
+    registry_[static_cast<std::size_t>(rank.id())] = this;
     if (crit_) pclock_.set_critpath(&crit_collect_);
     // 2D or 3D: the rank decomposition cuts x/y and keeps z whole (like
     // the original SIMCoV-CPU's 2D decomposition of a 3D volume), so all
@@ -206,7 +206,6 @@ class CpuRank {
     tail_ns_ += static_cast<std::uint64_t>(obs::now_ns() - tail_mark_);
     tail_mark_ = 0;
   }
-  std::uint64_t tail_ns() const { return tail_ns_; }
 
   std::uint64_t local_digest() const {
     std::uint64_t d = 0;
@@ -224,22 +223,34 @@ class CpuRank {
   }
 
   const TimeSeries& history() const { return history_; }
-  const perfmodel::RankCostLog& cost_log() const { return cost_log_; }
   /// CritPath accumulator (steps() == 0 when critpath is off).
   const obs::CritPathAccum& critpath_accum() const { return crit_accum_; }
-  /// Collector add() calls (overhead-bench site accounting).
-  std::uint64_t critpath_calls() const { return crit_collect_.calls(); }
 
-  /// MemScope harvest: this rank's host-side registry (grids + channels),
-  /// with the RPC queue's high-water mark charged as a gauge at harvest
-  /// time (the queue is mutated by sender threads, so it is not accounted
-  /// per enqueue).  Empty when memory accounting is off.
-  obs::MemReport memory_report() {
-    obs::MemReport rep;
+  /// Everything this rank measured, for the SPMD driver's merge.
+  spmd::RankReport report() {
+    spmd::RankReport rep;
+    rep.cost_log = &cost_log_;
+    rep.tail_ns = tail_ns_;
+    // MemScope: this rank's host-side registry (grids + channels), with the
+    // RPC queue's high-water mark charged as a gauge at harvest time (the
+    // queue is mutated by sender threads, so it is not accounted per
+    // enqueue).
     if (obs::MemScope* pm = rank_.memscope()) {
       pm->gauge_peak("pgas.rpc_queue",
                      rank_.rpc_queue_peak() * sizeof(std::function<void()>));
-      rep = pm->report();
+      rep.memory = pm->report();
+      perfmodel::CpuRankMemShape shape;
+      shape.w = w_;
+      shape.h = h_;
+      shape.dz = dz_;
+      for (int f = 0; f < kNumFaces; ++f) {
+        if (sub_.neighbour[static_cast<std::size_t>(f)] < 0) continue;
+        const std::size_t len2d = (f == kFaceXNeg || f == kFaceXPos)
+                                      ? static_cast<std::size_t>(h_)
+                                      : static_cast<std::size_t>(w_);
+        shape.face_lens.push_back(len2d * static_cast<std::size_t>(dz_));
+      }
+      rep.mem_modeled_by_category = perfmodel::cpu_rank_memory(shape);
     }
     return rep;
   }
@@ -968,110 +979,14 @@ CpuRunResult run_cpu_sim(const SimParams& params,
                          const std::vector<VoxelId>& foi,
                          const CpuSimOptions& options,
                          const std::vector<VoxelId>& empty_voxels) {
-  params.validate();
-  SIMCOV_REQUIRE(options.num_ranks >= 1, "need at least one rank");
-  const Grid grid(params.dim_x, params.dim_y, params.dim_z);
-  const Decomposition dec(grid, options.num_ranks, options.decomp);
-  const perfmodel::CostModel model(options.machine, perfmodel::Backend::kCpu,
-                                   options.num_ranks, options.area_scale);
-
-  // Raise the process-wide MemScope flag before any Rank exists (pgas::Rank
-  // creates its registry at construction; the RSS sampler keys off it too).
-  obs::MemScopeRun memscope_run(options.memscope);
-
-  pgas::Runtime rt(options.num_ranks);
   Registry registry(static_cast<std::size_t>(options.num_ranks), nullptr);
-  CpuRunResult result;
-  std::vector<const perfmodel::RankCostLog*> logs(
-      static_cast<std::size_t>(options.num_ranks));
-  std::vector<obs::MemReport> rank_memory(
-      static_cast<std::size_t>(options.num_ranks));
-  std::vector<std::uint64_t> rank_tail(
-      static_cast<std::size_t>(options.num_ranks), 0);
-
-  rt.run([&](pgas::Rank& rank) {
-    CpuRank sim(rank, params, dec, foi, empty_voxels, model, registry,
-                options.critpath);
-    registry[static_cast<std::size_t>(rank.id())] = &sim;
-    // SPMD sanity: rank 0 broadcasts a digest of its parameter set and every
-    // rank checks its own copy against it.  Setup traffic happens before the
-    // first step's counter snapshot, so this stays outside the modeled
-    // per-phase costs.
-    const std::uint64_t pdigest = std::hash<std::string>{}(params.summary());
-    SIMCOV_REQUIRE(rank.broadcast_value<std::uint64_t>(0, pdigest) == pdigest,
-                   "ranks disagree on the simulation parameter set");
-    rank.barrier();
-    sim.initialize();
-    rank.barrier();
-
-    // Step-loop wall: barrier-to-barrier, so every rank measures the same
-    // interval — the reconciliation target for the critical path.
-    const obs::Nanos loop_t0 = obs::now_ns();
-    std::vector<std::uint64_t> digests;
-    for (std::int64_t s = 0; s < params.num_steps; ++s) {
-      sim.step();
-      if (options.record_digests) {
-        digests.push_back(rank.allreduce_xor(sim.local_digest()));
-      }
-    }
-    sim.close_tail();  // final step's bookkeeping, before the barrier wait
-    rank.barrier();
-    if (rank.id() == 0) {
-      result.step_loop_wall_s =
-          static_cast<double>(obs::now_ns() - loop_t0) / 1e9;
-      result.history = sim.history();
-      result.digests = std::move(digests);
-    }
-    rank_tail[static_cast<std::size_t>(rank.id())] = sim.tail_ns();
-    logs[static_cast<std::size_t>(rank.id())] = &sim.cost_log();
-    rank_memory[static_cast<std::size_t>(rank.id())] = sim.memory_report();
-    // Every rank's accumulator is identical (deterministic analysis of the
-    // same gathered payloads); harvest rank 0's.
-    if (rank.id() == 0) result.critpath = sim.critpath_accum();
-    rank.barrier();
-    if (rank.id() == 0) {
-      result.cost =
-          perfmodel::fold(std::span<const perfmodel::RankCostLog* const>(logs));
-    }
-    rank.barrier();  // keep all sims alive until the fold completes
-  });
-
-  result.step_tail_s =
-      static_cast<double>(*std::min_element(rank_tail.begin(),
-                                            rank_tail.end())) /
-      1e9;
-  for (const obs::MemReport& mr : rank_memory) {
-    obs::merge_mem_reports(result.memory, mr);
-  }
-  if (!result.memory.empty()) {
-    for (int r = 0; r < options.num_ranks; ++r) {
-      const Subdomain sub = dec.sub(r);
-      perfmodel::CpuRankMemShape shape;
-      shape.w = sub.extent.x;
-      shape.h = sub.extent.y;
-      shape.dz = sub.extent.z;
-      for (int f = 0; f < kNumFaces; ++f) {
-        if (sub.neighbour[static_cast<std::size_t>(f)] < 0) continue;
-        const std::size_t len2d =
-            (f == kFaceXNeg || f == kFaceXPos)
-                ? static_cast<std::size_t>(sub.extent.y)
-                : static_cast<std::size_t>(sub.extent.x);
-        shape.face_lens.push_back(len2d *
-                                  static_cast<std::size_t>(sub.extent.z));
-      }
-      for (const auto& [cat, bytes] : perfmodel::cpu_rank_memory(shape)) {
-        result.mem_modeled_by_category[cat] += bytes;
-      }
-    }
-  }
-  const pgas::CommStats total = rt.total_stats();
-  result.total_rpcs = total.rpcs_sent;
-  result.total_put_bytes = total.put_bytes;
-  result.comm_by_rank.reserve(static_cast<std::size_t>(options.num_ranks));
-  for (int r = 0; r < options.num_ranks; ++r) {
-    result.comm_by_rank.push_back(rt.rank_stats(r));
-  }
-  return result;
+  return spmd::run_spmd(
+      params, options, perfmodel::Backend::kCpu,
+      [&](pgas::Rank& rank, const Decomposition& dec,
+          const perfmodel::CostModel& model) {
+        return CpuRank(rank, params, dec, foi, empty_voxels, model, registry,
+                       options.obs.critpath);
+      });
 }
 
 }  // namespace simcov::cpu

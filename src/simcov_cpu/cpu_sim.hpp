@@ -12,67 +12,21 @@
 // rank count and decomposition (tests/equivalence_test.cpp); its
 // communication and work counters feed the performance model.
 
-#include <cstdint>
-#include <map>
-#include <string>
 #include <vector>
 
-#include "core/decomposition.hpp"
 #include "core/params.hpp"
-#include "core/stats.hpp"
 #include "core/types.hpp"
-#include "obs/critpath.hpp"
-#include "obs/memscope.hpp"
-#include "pgas/comm_stats.hpp"
-#include "perfmodel/cost_model.hpp"
-#include "perfmodel/machine.hpp"
+#include "spmd/run.hpp"
 
 namespace simcov::cpu {
 
-struct CpuSimOptions {
-  int num_ranks = 4;
-  Decomposition::Kind decomp = Decomposition::Kind::kBlock2D;
-  bool record_digests = false;  ///< per-step full-state digests (tests)
-  perfmodel::MachineSpec machine = perfmodel::MachineSpec::perlmutter_like();
-  /// Modeled-time extrapolation to paper-scale grids (see CostModel).
-  double area_scale = 1.0;
-  /// MemScope (obs/memscope.hpp): host-grid and PGAS channel/queue
-  /// accounting with memory drift rows in CpuRunResult.  Also enabled by
-  /// SIMCOV_MEMSCOPE=1.  Observes allocations only; digests stay
-  /// bit-identical with it on or off.
-  bool memscope = false;
-  /// CritPath (obs/critpath.hpp): per-step binding-rank analysis gathered
-  /// through the observability-only collective path, accumulated into
-  /// CpuRunResult::critpath.  Also enabled by SIMCOV_CRITPATH=1; digests
-  /// stay bit-identical with it on or off.
-  bool critpath = false;
-};
+/// Team shape, cost-model inputs and instruments.  The KernelCheck and
+/// KernelProf switches have no device to act on in this backend.
+using CpuSimOptions = spmd::RunOptions;
 
-struct CpuRunResult {
-  TimeSeries history;                       ///< reduced stats per step
-  std::vector<std::uint64_t> digests;       ///< per step, if recorded
-  perfmodel::RunCost cost;                  ///< modeled bulk-synchronous time
-  std::uint64_t total_rpcs = 0;
-  std::uint64_t total_put_bytes = 0;
-  /// Full per-rank communication counters (including the per-destination
-  /// comm matrix in CommStats::peers), indexed by rank id.
-  std::vector<pgas::CommStats> comm_by_rank;
-  /// MemScope per-buffer memory report merged over all ranks (empty when
-  /// memory accounting is off); per-rank peaks sum, as on the GPU side.
-  obs::MemReport memory;
-  /// perfmodel::cpu_rank_memory prediction summed over ranks — the modeled
-  /// side of the memory drift rows.  Empty when memory accounting is off.
-  std::map<std::string, double> mem_modeled_by_category;
-  /// CritPath accumulator (rank 0's copy; identical on every rank).
-  /// steps() == 0 when critpath is off.
-  obs::CritPathAccum critpath;
-  /// Host wall time of the step loop alone (post-init barrier to post-loop
-  /// barrier), seconds — the reconciliation target for the critical path.
-  double step_loop_wall_s = 0.0;
-  /// Step-loop host work outside the phase spans, min-folded over ranks,
-  /// seconds.  Reconciliation: critical path + tail ~= step_loop_wall_s.
-  double step_tail_s = 0.0;
-};
+/// Both backends return the shared spmd::RunResult; the device-only fields
+/// stay zero here.
+using CpuRunResult = spmd::RunResult;
 
 /// Runs the full simulation SPMD over options.num_ranks ranks and returns
 /// the reduced history plus modeled cost.

@@ -74,13 +74,10 @@ class GpuRank {
         lay_(sub_.extent.x, sub_.extent.y, params.tile_side),
         tiles_(lay_, options.variant.memory_tiling),
         // Deferred reporting: a rank thread that threw mid-step would
-        // desert the team barrier and hang its peers, so findings are
-        // collected and run_gpu_sim throws once after all ranks joined.
-        dev_(rank.id(),
-             gpusim::DeviceOptions{options.check_kernels,
-                                   options.permute_schedules,
-                                   /*defer_check_report=*/true,
-                                   options.profile, options.memscope}),
+        // desert the team barrier and hang its peers, so findings go into
+        // the rank's report and the SPMD driver throws after the join.
+        dev_(rank.id(), gpusim::DeviceOptions{.obs = options.obs,
+                                              .defer_check_report = true}),
         model_(&model), cost_log_(model), pclock_(rank.id()),
         // Device allocations: full padded layout per field.
         epi_state_(dev_, lay_.size(),
@@ -116,7 +113,7 @@ class GpuRank {
     h_ = sub_.extent.y;
     // Tree reduction needs a power-of-two block.
     reduce_block_ = std::bit_floor(static_cast<unsigned>(params_.block_dim));
-    crit_ = options.critpath || obs::critpath_env();
+    crit_ = options.obs.critpath;
     if (crit_) pclock_.set_critpath(&crit_collect_);
 
     upload_initial_state(foi, empties);
@@ -209,7 +206,6 @@ class GpuRank {
     tail_ns_ += static_cast<std::uint64_t>(obs::now_ns() - tail_mark_);
     tail_mark_ = 0;
   }
-  std::uint64_t tail_ns() const { return tail_ns_; }
 
   std::uint64_t local_digest() {
     // Test support: pull the full state to the host and fold the canonical
@@ -237,34 +233,46 @@ class GpuRank {
   }
 
   const TimeSeries& history() const { return history_; }
-  const perfmodel::RankCostLog& cost_log() const { return cost_log_; }
-  const gpusim::DeviceStats& device_stats() const { return dev_.stats(); }
-  const gpusim::KernelChecker* checker() const { return dev_.checker(); }
-  /// KernelProf per-(phase,kernel) aggregates for this rank (empty when
-  /// profiling is off).
-  const std::vector<obs::KernelStats>& kernel_profile() const {
-    return kprof_;
-  }
-  std::uint64_t prof_binds() const {
-    const obs::KernelProf* p = dev_.profiler();
-    return p != nullptr ? p->total_binds() : 0;
-  }
   /// CritPath accumulator (steps() == 0 when critpath is off).
   const obs::CritPathAccum& critpath_accum() const { return crit_accum_; }
-  /// Collector add() calls (overhead-bench site accounting).
-  std::uint64_t critpath_calls() const { return crit_collect_.calls(); }
-  /// MemScope harvest for this rank: the device registry plus the PGAS
-  /// rank's host-side slots (channel landing zones, and the RPC queue's
-  /// high-water mark charged here as a gauge — the queue is mutated by
-  /// sender threads, so it is counted at harvest rather than per enqueue).
-  /// Empty when memory accounting is off.
-  obs::MemReport memory_report() {
-    obs::MemReport rep;
-    if (const obs::MemScope* dm = dev_.memscope()) rep = dm->report();
+
+  /// Everything this rank measured, for the SPMD driver's merge.
+  spmd::RankReport report() {
+    spmd::RankReport rep;
+    rep.cost_log = &cost_log_;
+    rep.tail_ns = tail_ns_;
+    rep.device = dev_.stats();
+    if (const gpusim::KernelChecker* chk = dev_.checker()) {
+      rep.check_accesses = chk->accesses_checked();
+      rep.check_violations = chk->violation_count();
+      rep.error = chk->report();
+    }
+    rep.kernel_profile = kprof_;
+    if (const obs::KernelProf* p = dev_.profiler()) {
+      rep.prof_binds = p->total_binds();
+    }
+    // MemScope: the device registry plus the PGAS rank's host-side slots
+    // (channel landing zones, and the RPC queue's high-water mark charged
+    // here as a gauge — the queue is mutated by sender threads, so it is
+    // counted at harvest rather than per enqueue).
+    if (const obs::MemScope* dm = dev_.memscope()) rep.memory = dm->report();
     if (obs::MemScope* pm = rank_.memscope()) {
       pm->gauge_peak("pgas.rpc_queue",
                      rank_.rpc_queue_peak() * sizeof(std::function<void()>));
-      obs::merge_mem_reports(rep, pm->report());
+      obs::merge_mem_reports(rep.memory, pm->report());
+    }
+    if (!rep.memory.empty()) {
+      // Modeled bytes from the same geometry this rank allocates from.
+      perfmodel::GpuRankMemShape shape;
+      shape.w = w_;
+      shape.h = h_;
+      shape.tile_side = params_.tile_side;
+      for (int f = 0; f < kNumFaces; ++f) {
+        if (sub_.neighbour[static_cast<std::size_t>(f)] >= 0) {
+          shape.face_lens.push_back(face_len(f));
+        }
+      }
+      rep.mem_modeled_by_category = perfmodel::gpu_rank_memory(shape);
     }
     return rep;
   }
@@ -1371,151 +1379,12 @@ GpuRunResult run_gpu_sim(const SimParams& params,
                          const std::vector<VoxelId>& foi,
                          const GpuSimOptions& options,
                          const std::vector<VoxelId>& empty_voxels) {
-  params.validate();
-  SIMCOV_REQUIRE(options.num_ranks >= 1, "need at least one rank");
-  const Grid grid(params.dim_x, params.dim_y, params.dim_z);
-  const Decomposition dec(grid, options.num_ranks, options.decomp);
-  const perfmodel::CostModel model(options.machine, perfmodel::Backend::kGpu,
-                                   options.num_ranks, options.area_scale);
-
-  // Raise the process-wide MemScope flag before any Rank/Device exists:
-  // pgas::Rank and the RSS sampler key off it at construction / phase
-  // boundaries (the Device additionally honours its own option).
-  obs::MemScopeRun memscope_run(options.memscope);
-
-  pgas::Runtime rt(options.num_ranks);
-  GpuRunResult result;
-  std::vector<const perfmodel::RankCostLog*> logs(
-      static_cast<std::size_t>(options.num_ranks));
-  std::vector<gpusim::DeviceStats> dev_totals(
-      static_cast<std::size_t>(options.num_ranks));
-  std::vector<std::string> check_reports(
-      static_cast<std::size_t>(options.num_ranks));
-  std::vector<std::uint64_t> check_violations(
-      static_cast<std::size_t>(options.num_ranks), 0);
-  std::vector<std::uint64_t> check_accesses(
-      static_cast<std::size_t>(options.num_ranks), 0);
-  std::vector<std::vector<obs::KernelStats>> rank_profiles(
-      static_cast<std::size_t>(options.num_ranks));
-  std::vector<std::uint64_t> rank_binds(
-      static_cast<std::size_t>(options.num_ranks), 0);
-  std::vector<obs::MemReport> rank_memory(
-      static_cast<std::size_t>(options.num_ranks));
-  std::vector<std::uint64_t> rank_tail(
-      static_cast<std::size_t>(options.num_ranks), 0);
-
-  rt.run([&](pgas::Rank& rank) {
-    GpuRank sim(rank, params, dec, foi, empty_voxels, options, model);
-    // SPMD sanity: rank 0 broadcasts a digest of its parameter set and every
-    // rank checks its own copy against it.  Setup traffic happens before the
-    // first step's counter snapshot, so this stays outside the modeled
-    // per-phase costs.
-    const std::uint64_t pdigest = std::hash<std::string>{}(params.summary());
-    SIMCOV_REQUIRE(rank.broadcast_value<std::uint64_t>(0, pdigest) == pdigest,
-                   "ranks disagree on the simulation parameter set");
-    rank.barrier();
-    sim.initialize();
-    rank.barrier();
-
-    // Step-loop wall: barrier-to-barrier, so every rank measures the same
-    // interval — the reconciliation target for the critical path.
-    const obs::Nanos loop_t0 = obs::now_ns();
-    std::vector<std::uint64_t> digests;
-    for (std::int64_t s = 0; s < params.num_steps; ++s) {
-      sim.step();
-      if (options.record_digests) {
-        digests.push_back(rank.allreduce_xor(sim.local_digest()));
-      }
-    }
-    sim.close_tail();  // final step's bookkeeping, before the barrier wait
-    rank.barrier();
-    if (rank.id() == 0) {
-      result.step_loop_wall_s =
-          static_cast<double>(obs::now_ns() - loop_t0) / 1e9;
-      result.history = sim.history();
-      result.digests = std::move(digests);
-    }
-    rank_tail[static_cast<std::size_t>(rank.id())] = sim.tail_ns();
-    logs[static_cast<std::size_t>(rank.id())] = &sim.cost_log();
-    dev_totals[static_cast<std::size_t>(rank.id())] = sim.device_stats();
-    if (const gpusim::KernelChecker* chk = sim.checker()) {
-      check_reports[static_cast<std::size_t>(rank.id())] = chk->report();
-      check_violations[static_cast<std::size_t>(rank.id())] =
-          chk->violation_count();
-      check_accesses[static_cast<std::size_t>(rank.id())] =
-          chk->accesses_checked();
-    }
-    rank_profiles[static_cast<std::size_t>(rank.id())] = sim.kernel_profile();
-    rank_binds[static_cast<std::size_t>(rank.id())] = sim.prof_binds();
-    rank_memory[static_cast<std::size_t>(rank.id())] = sim.memory_report();
-    // Every rank's accumulator is identical (deterministic analysis of the
-    // same gathered payloads); harvest rank 0's.
-    if (rank.id() == 0) result.critpath = sim.critpath_accum();
-    rank.barrier();
-    if (rank.id() == 0) {
-      result.cost =
-          perfmodel::fold(std::span<const perfmodel::RankCostLog* const>(logs));
-    }
-    rank.barrier();  // keep all sims alive until the fold completes
-  });
-
-  result.step_tail_s =
-      static_cast<double>(*std::min_element(rank_tail.begin(),
-                                            rank_tail.end())) /
-      1e9;
-  for (const auto& d : dev_totals) result.device_total += d;
-  for (const auto& rp : rank_profiles) {
-    for (const obs::KernelStats& k : rp) {
-      obs::merge_kernel_stats(result.kernel_profile, k);
-    }
-  }
-  for (const std::uint64_t b : rank_binds) result.prof_binds += b;
-  for (const obs::MemReport& mr : rank_memory) {
-    obs::merge_mem_reports(result.memory, mr);
-  }
-  if (!result.memory.empty()) {
-    // Modeled bytes per rank from the same geometry the backend allocates
-    // from; summed across ranks like the measured per-rank peaks.
-    for (int r = 0; r < options.num_ranks; ++r) {
-      const Subdomain sub = dec.sub(r);
-      perfmodel::GpuRankMemShape shape;
-      shape.w = sub.extent.x;
-      shape.h = sub.extent.y;
-      shape.tile_side = params.tile_side;
-      for (int f = 0; f < kNumFaces; ++f) {
-        if (sub.neighbour[static_cast<std::size_t>(f)] < 0) continue;
-        shape.face_lens.push_back(
-            (f == kFaceXNeg || f == kFaceXPos)
-                ? static_cast<std::size_t>(sub.extent.y)
-                : static_cast<std::size_t>(sub.extent.x));
-      }
-      for (const auto& [cat, bytes] : perfmodel::gpu_rank_memory(shape)) {
-        result.mem_modeled_by_category[cat] += bytes;
-      }
-    }
-  }
-  for (std::size_t r = 0; r < check_violations.size(); ++r) {
-    result.check_violations += check_violations[r];
-    result.check_accesses += check_accesses[r];
-  }
-  if (result.check_violations > 0) {
-    // Deferred KernelCheck reporting: all ranks have joined, so one
-    // aggregated Error is safe to throw.
-    std::string msg = "KernelCheck: kernel discipline violation(s)";
-    for (std::size_t r = 0; r < check_reports.size(); ++r) {
-      if (check_reports[r].empty()) continue;
-      msg += "\nrank " + std::to_string(r) + ": " + check_reports[r];
-    }
-    throw Error(msg);
-  }
-  const pgas::CommStats total = rt.total_stats();
-  result.total_put_bytes = total.put_bytes;
-  result.total_kernel_launches = result.device_total.kernel_launches;
-  result.comm_by_rank.reserve(static_cast<std::size_t>(options.num_ranks));
-  for (int r = 0; r < options.num_ranks; ++r) {
-    result.comm_by_rank.push_back(rt.rank_stats(r));
-  }
-  return result;
+  return spmd::run_spmd(
+      params, options, perfmodel::Backend::kGpu,
+      [&](pgas::Rank& rank, const Decomposition& dec,
+          const perfmodel::CostModel& model) {
+        return GpuRank(rank, params, dec, foi, empty_voxels, options, model);
+      });
 }
 
 }  // namespace simcov::gpu

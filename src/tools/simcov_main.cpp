@@ -8,7 +8,10 @@
 //   simcov [--config FILE] [--trace=FILE] [--metrics-out=FILE] [--profile=1]
 //          [--memscope=1] [key=value ...]
 //
-// Observability flags (see src/obs and the README "Observability" section):
+// Observability flags (see src/obs and the README "Observability" section).
+// Flags, the driver keys kernel_check/profile/memscope/critpath and the
+// SIMCOV_* environment all parse into one obs::Config (obs/config.hpp):
+// a flag beats a key, which beats the environment, which beats the default.
 //   --trace=FILE        write a Chrome-trace-event JSON (Perfetto /
 //                       chrome://tracing) with one track per PGAS rank and a
 //                       span per simulation phase.  Equivalent to setting
@@ -18,9 +21,9 @@
 //                       active-tile occupancy, RPC histograms, ...  Equivalent
 //                       to SIMCOV_METRICS=FILE.  Also prints the measured
 //                       per-phase wall-clock breakdown to stderr.
-//   --trace-ring=N      span ring-buffer capacity (default 262144).  When the
-//                       ring saturates the oldest spans are overwritten and a
-//                       warning is printed at export time.  Equivalent to
+//   --trace-ring=N      span ring-buffer capacity (0 = default 262144).  When
+//                       the ring saturates the oldest spans are overwritten
+//                       and a warning is printed at export time.  Equivalent to
 //                       SIMCOV_TRACE_RING=N.
 //   --series-cap=N      per-series retention cap for --metrics-out step
 //                       series (default 4096; 0 = unlimited).  Over the cap a
@@ -73,7 +76,6 @@
 //   steps_after_resume  extra steps when resuming (default num_steps)
 
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <optional>
 #include <string>
@@ -134,7 +136,7 @@ void print_summary(const TimeSeries& history) {
   std::printf("%s", t.to_string().c_str());
 }
 
-int run(const Config& cfg, unsigned summary_mask) {
+int run(const Config& cfg, const obs::Config& obs_cfg, unsigned summary_mask) {
   // Split driver keys from simulation parameters.
   Config sim_cfg;
   for (const auto& k : cfg.keys()) {
@@ -233,47 +235,15 @@ int run(const Config& cfg, unsigned summary_mask) {
   harness::RunSpec spec;
   spec.params = params;
   spec.foi = foi;
+  spec.empty_voxels = empties;
+  spec.obs = obs_cfg;
   const int ranks = static_cast<int>(cfg.get_int("ranks", 4));
   harness::BackendResult result;
-  perfmodel::MachineSpec machine = perfmodel::MachineSpec::perlmutter_like();
   if (engine == "cpu") {
-    cpu::CpuSimOptions opt;
-    opt.num_ranks = ranks;
-    opt.memscope = cfg.get_bool("memscope", false);
-    opt.critpath = cfg.get_bool("critpath", false);
-    const auto r = cpu::run_cpu_sim(params, foi, opt, empties);
-    result.history = r.history;
-    result.cost = r.cost;
-    result.modeled_seconds = r.cost.total_s;
-    result.memory = r.memory;
-    result.mem_modeled_by_category = r.mem_modeled_by_category;
-    result.critpath = r.critpath;
-    result.step_loop_wall_s = r.step_loop_wall_s;
-    result.step_tail_s = r.step_tail_s;
+    result = harness::run_cpu(spec, ranks);
   } else if (engine == "gpu") {
-    gpu::GpuSimOptions opt;
-    opt.num_ranks = ranks;
-    opt.variant = parse_variant(cfg.get_string("variant", "combined"));
-    const std::string kc = cfg.get_string("kernel_check", "0");
-    SIMCOV_REQUIRE(kc == "0" || kc == "1" || kc == "permute",
-                   "kernel_check must be 0, 1 or permute");
-    opt.check_kernels = kc != "0";
-    opt.permute_schedules = kc == "permute";
-    opt.profile = cfg.get_bool("profile", false);
-    opt.memscope = cfg.get_bool("memscope", false);
-    opt.critpath = cfg.get_bool("critpath", false);
-    machine = opt.machine;
-    const auto r = gpu::run_gpu_sim(params, foi, opt, empties);
-    result.history = r.history;
-    result.cost = r.cost;
-    result.modeled_seconds = r.cost.total_s;
-    result.kernel_profile = r.kernel_profile;
-    result.memory = r.memory;
-    result.mem_modeled_by_category = r.mem_modeled_by_category;
-    result.peak_allocated_bytes = r.device_total.peak_allocated_bytes;
-    result.critpath = r.critpath;
-    result.step_loop_wall_s = r.step_loop_wall_s;
-    result.step_tail_s = r.step_tail_s;
+    result = harness::run_gpu(
+        spec, ranks, parse_variant(cfg.get_string("variant", "combined")));
   } else {
     throw Error("unknown engine '" + engine + "' (reference|cpu|gpu)");
   }
@@ -282,7 +252,7 @@ int run(const Config& cfg, unsigned summary_mask) {
   }
   print_summary(result.history);
   std::printf("modeled runtime: %.3f s (update %.3f, reduce %.3f)\n",
-              result.modeled_seconds, result.cost.update_agents_s(),
+              result.cost.total_s, result.cost.update_agents_s(),
               result.cost.reduce_stats_s());
 
   // End-of-run report sections (kernels / memory / critpath / drift) all go
@@ -304,9 +274,9 @@ int run(const Config& cfg, unsigned summary_mask) {
     // KernelProf roofline table.  Measured phase totals come from the
     // PhaseClock counters when metrics are on; otherwise phase shares read
     // n/a but the per-kernel wall times and bandwidths are still real.
-    summary.kernels =
-        obs::kernel_drift_rows(result.kernel_profile, measured, modeled,
-                               machine);
+    summary.kernels = obs::kernel_drift_rows(
+        result.kernel_profile, measured, modeled,
+        perfmodel::MachineSpec::perlmutter_like());
   }
   if (!result.memory.empty()) {
     // MemScope per-buffer table, category drift vs the memory model, and
@@ -338,51 +308,22 @@ int main(int argc, char** argv) {
   try {
     // Observability flags come out of argv first: they are process-level
     // (not simulation parameters) and must be validated before anything
-    // expensive runs.
-    std::string trace_path, metrics_path;
-    std::size_t trace_ring = 0;
-    std::string profile_kv, memscope_kv, critpath_kv;
+    // expensive runs.  Precedence: CLI flag > driver config key >
+    // environment > default.
+    obs::Config obs_cfg = obs::Config::from_env();
+    std::vector<std::string> obs_flags;
     unsigned summary_mask = obs::kSummaryAll;
     std::vector<char*> rest;
     for (int i = 1; i < argc; ++i) {
       const std::string a = argv[i];
-      if (a.rfind("--trace=", 0) == 0) {
-        trace_path = a.substr(8);
-      } else if (a.rfind("--profile=", 0) == 0) {
-        // Alias for the profile=0|1 driver key (rewritten so it survives
-        // Config::from_args' key=value parsing).
-        profile_kv = "profile=" + a.substr(10);
-      } else if (a.rfind("--memscope=", 0) == 0) {
-        // Alias for the memscope=0|1 driver key, like --profile.
-        memscope_kv = "memscope=" + a.substr(11);
-      } else if (a.rfind("--critpath=", 0) == 0) {
-        // Alias for the critpath=0|1 driver key, like --memscope.
-        critpath_kv = "critpath=" + a.substr(11);
-      } else if (a.rfind("--summary=", 0) == 0) {
+      if (a.rfind("--summary=", 0) == 0) {
         summary_mask = obs::parse_summary_selector(a.substr(10));
-      } else if (a.rfind("--series-cap=", 0) == 0) {
-        const std::string v = a.substr(13);
-        char* end = nullptr;
-        const unsigned long long n = std::strtoull(v.c_str(), &end, 10);
-        SIMCOV_REQUIRE(!v.empty() && end != nullptr && *end == '\0',
-                       "--series-cap needs a non-negative integer, got '" +
-                           v + "'");
-        obs::metrics().set_series_cap(static_cast<std::size_t>(n));
-      } else if (a.rfind("--trace-ring=", 0) == 0) {
-        const std::string v = a.substr(13);
-        char* end = nullptr;
-        const unsigned long long n = std::strtoull(v.c_str(), &end, 10);
-        SIMCOV_REQUIRE(end != nullptr && *end == '\0' && n > 0,
-                       "--trace-ring needs a positive integer, got '" + v +
-                           "'");
-        trace_ring = static_cast<std::size_t>(n);
-      } else if (a.rfind("--metrics-out=", 0) == 0) {
-        metrics_path = a.substr(14);
+      } else if (a.rfind("--", 0) == 0 && a.find('=') != std::string::npos) {
+        obs_flags.push_back(a);
       } else {
         rest.push_back(argv[i]);
       }
     }
-    harness::configure_observability(trace_path, metrics_path, trace_ring);
 
     Config cfg;
     std::size_t first_kv = 0;
@@ -392,16 +333,15 @@ int main(int argc, char** argv) {
     }
     cfg.merge(Config::from_args(static_cast<int>(rest.size() - first_kv),
                                 rest.data() + first_kv));
-    if (!profile_kv.empty()) {
-      cfg.set("profile", profile_kv.substr(profile_kv.find('=') + 1));
+    for (const std::string& k : cfg.keys()) {
+      obs_cfg.apply_key(k, cfg.get_string(k));
     }
-    if (!memscope_kv.empty()) {
-      cfg.set("memscope", memscope_kv.substr(memscope_kv.find('=') + 1));
+    for (const std::string& f : obs_flags) {
+      if (!obs_cfg.apply_flag(f)) throw Error("unknown flag '" + f + "'");
     }
-    if (!critpath_kv.empty()) {
-      cfg.set("critpath", critpath_kv.substr(critpath_kv.find('=') + 1));
-    }
-    const int rc = run(cfg, summary_mask);
+    harness::configure_observability(obs_cfg);
+
+    const int rc = run(cfg, obs_cfg, summary_mask);
     harness::finish_observability(summary_mask);
     return rc;
   } catch (const std::exception& e) {

@@ -72,9 +72,10 @@ TEST(CpuSim, CrossBoundaryTrafficHappens) {
   cpu::CpuSimOptions opt;
   opt.num_ranks = 4;
   const auto r = cpu::run_cpu_sim(p, foi_for(p), opt);
-  EXPECT_GT(r.total_rpcs, 0u) << "no T cell ever crossed a rank boundary — "
-                                 "the test configuration is too tame";
-  EXPECT_GT(r.total_put_bytes, 0u);  // concentration halos
+  EXPECT_GT(r.comm_total().rpcs_sent, 0u)
+      << "no T cell ever crossed a rank boundary — "
+         "the test configuration is too tame";
+  EXPECT_GT(r.comm_total().put_bytes, 0u);  // concentration halos
   EXPECT_GT(r.cost.total_s, 0.0);
 }
 
@@ -94,8 +95,8 @@ TEST(CpuSim, SingleRankNeedsNoCommunication) {
   cpu::CpuSimOptions opt;
   opt.num_ranks = 1;
   const auto r = cpu::run_cpu_sim(p, foi_for(p), opt);
-  EXPECT_EQ(r.total_rpcs, 0u);
-  EXPECT_EQ(r.total_put_bytes, 0u);
+  EXPECT_EQ(r.comm_total().rpcs_sent, 0u);
+  EXPECT_EQ(r.comm_total().put_bytes, 0u);
 }
 
 TEST(CpuSim, Runs3DAndMatchesReference) {
@@ -158,7 +159,7 @@ TEST(GpuSim, DeviceCountersPopulated) {
   EXPECT_GT(r.device_total.kernel_launches, 0u);
   EXPECT_GT(r.device_total.global_read_bytes, 0u);
   EXPECT_GT(r.device_total.threads_executed, 0u);
-  EXPECT_GT(r.total_put_bytes, 0u);  // halo waves
+  EXPECT_GT(r.comm_total().put_bytes, 0u);  // halo waves
   EXPECT_GT(r.cost.total_s, 0.0);
 }
 
@@ -250,10 +251,10 @@ TEST(Harness, BackendsAgreeThroughWrappers) {
   const auto g = harness::run_gpu(spec, 4);
   expect_history_matches(ref.history, c.history);
   expect_history_matches(ref.history, g.history);
-  EXPECT_GT(c.modeled_seconds, 0.0);
-  EXPECT_GT(g.modeled_seconds, 0.0);
+  EXPECT_GT(c.cost.total_s, 0.0);
+  EXPECT_GT(g.cost.total_s, 0.0);
   EXPECT_DOUBLE_EQ(harness::speedup(c, g),
-                   c.modeled_seconds / g.modeled_seconds);
+                   c.cost.total_s / g.cost.total_s);
 }
 
 TEST(Harness, CpusForGpusMatchesPaperRatio) {

@@ -230,7 +230,7 @@ TEST(CritPathRuns, GpuDigestsBitIdenticalWithCritpathOnOrOff) {
   off.num_ranks = 4;
   off.record_digests = true;
   gpu::GpuSimOptions on = off;
-  on.critpath = true;
+  on.obs.critpath = true;
 
   const auto r_off = gpu::run_gpu_sim(p, foi, off);
   const auto r_on = gpu::run_gpu_sim(p, foi, on);
@@ -256,7 +256,7 @@ TEST(CritPathRuns, CpuDigestsBitIdenticalWithCritpathOnOrOff) {
   off.num_ranks = 4;
   off.record_digests = true;
   cpu::CpuSimOptions on = off;
-  on.critpath = true;
+  on.obs.critpath = true;
 
   const auto r_off = cpu::run_cpu_sim(p, foi, off);
   const auto r_on = cpu::run_cpu_sim(p, foi, on);
@@ -273,7 +273,7 @@ TEST(CritPathRuns, CriticalPathPlusTailReconcilesWithStepLoopWall) {
 
   gpu::GpuSimOptions opt;
   opt.num_ranks = 4;
-  opt.critpath = true;
+  opt.obs.critpath = true;
   const auto r = gpu::run_gpu_sim(p, foi, opt);
 
   ASSERT_GT(r.critpath.steps(), 0u);

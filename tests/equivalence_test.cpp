@@ -233,7 +233,8 @@ TEST(Equivalence, StressManyTCellsCrossBoundaries) {
   copt.record_digests = true;
   const auto c = cpu::run_cpu_sim(p, foi, copt);
   EXPECT_EQ(first_divergence(ref_digests, c.digests), -1);
-  EXPECT_GT(c.total_rpcs, 100u);  // boundary competition really happened
+  // Boundary competition really happened.
+  EXPECT_GT(c.comm_total().rpcs_sent, 100u);
 
   gpu::GpuSimOptions gopt;
   gopt.num_ranks = 9;

@@ -16,55 +16,32 @@
 #include <cstdint>
 #include <cstdlib>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/foi.hpp"
 #include "core/grid.hpp"
 #include "core/params.hpp"
 #include "gpusim/gpusim.hpp"
+#include "obs/config.hpp"
 #include "simcov_gpu/gpu_sim.hpp"
 #include "util/error.hpp"
 
 namespace simcov::gpusim {
 namespace {
 
-/// Scoped override (or removal, when value == nullptr) of an environment
-/// variable, restoring the previous state on destruction.  The CI
-/// kernel-check job exports SIMCOV_KERNEL_CHECK=1 for the whole suite, so
-/// tests that rely on a specific checker mode must pin the variable.
-struct EnvVarOverride {
-  EnvVarOverride(const char* var, const char* value) : name(var) {
-    const char* prev_raw = std::getenv(var);  // NOLINT(concurrency-mt-unsafe)
-    had_prev = prev_raw != nullptr;
-    if (had_prev) prev = prev_raw;
-    if (value != nullptr) {
-      ::setenv(var, value, 1);  // NOLINT(concurrency-mt-unsafe)
-    } else {
-      ::unsetenv(var);  // NOLINT(concurrency-mt-unsafe)
-    }
-  }
-  ~EnvVarOverride() {
-    if (had_prev) {
-      ::setenv(name, prev.c_str(), 1);  // NOLINT(concurrency-mt-unsafe)
-    } else {
-      ::unsetenv(name);  // NOLINT(concurrency-mt-unsafe)
-    }
-  }
-  EnvVarOverride(const EnvVarOverride&) = delete;
-  EnvVarOverride& operator=(const EnvVarOverride&) = delete;
-
-  const char* name;
-  std::string prev;
-  bool had_prev = false;
-};
-
-DeviceOptions access_checked() {
-  return DeviceOptions{.check_kernels = true, .permute_schedules = false,
-                       .defer_check_report = false};
-}
+// Tests pass an explicit obs::Config, so the CI kernel-check job's
+// suite-wide SIMCOV_KERNEL_CHECK=1 cannot change what they exercise.
+DeviceOptions unchecked() { return {.obs = {}}; }
+DeviceOptions access_checked() { return {.obs = {.kernel_check = true}}; }
 DeviceOptions permuted() {
-  return DeviceOptions{.check_kernels = true, .permute_schedules = true,
-                       .defer_check_report = false};
+  return {.obs = {.kernel_check = true, .permute = true}};
+}
+/// Options parsed from an environment holding only SIMCOV_KERNEL_CHECK.
+DeviceOptions from_kernel_check_env(const char* value) {
+  return {.obs = obs::Config::from_env([value](const char* name) {
+    return std::string_view(name) == "SIMCOV_KERNEL_CHECK" ? value : nullptr;
+  })};
 }
 
 /// Runs `fn` and returns the KernelCheck diagnostic ("" if it ran clean).
@@ -81,8 +58,7 @@ std::string launch_error(F&& fn) {
 // ---- enablement ----------------------------------------------------------
 
 TEST(KernelCheck, OffByDefaultRacesRunSilently) {
-  EnvVarOverride guard("SIMCOV_KERNEL_CHECK", nullptr);
-  Device dev(0);
+  Device dev(0, unchecked());
   EXPECT_EQ(dev.checker(), nullptr);
   DeviceBuffer<int> buf(dev, 1, 0);
   // Every thread writes element 0 — a write-write race, invisible without
@@ -94,31 +70,40 @@ TEST(KernelCheck, OffByDefaultRacesRunSilently) {
 }
 
 TEST(KernelCheck, EnvVarEnablesAccessChecking) {
-  EnvVarOverride guard("SIMCOV_KERNEL_CHECK", "1");
+  // End to end: SIMCOV_KERNEL_CHECK reaches a Device built with default
+  // options, which is how the CI kernel-check job checks every Device the
+  // suite builds.  The caller's value is restored before asserting.
+  const char* prev = std::getenv("SIMCOV_KERNEL_CHECK");
+  const std::string saved = prev != nullptr ? prev : "";
+  ::setenv("SIMCOV_KERNEL_CHECK", "1", 1);
   Device dev(0);
+  Device explicit_off(1, unchecked());
+  if (prev != nullptr) {
+    ::setenv("SIMCOV_KERNEL_CHECK", saved.c_str(), 1);
+  } else {
+    ::unsetenv("SIMCOV_KERNEL_CHECK");
+  }
+  EXPECT_EQ(explicit_off.checker(), nullptr);
   ASSERT_NE(dev.checker(), nullptr);
   EXPECT_TRUE(dev.checker()->access_checking());
   EXPECT_FALSE(dev.checker()->permute_schedules());
 }
 
 TEST(KernelCheck, EnvVarPermuteEnablesBothModes) {
-  EnvVarOverride guard("SIMCOV_KERNEL_CHECK", "permute");
-  Device dev(0);
+  Device dev(0, from_kernel_check_env("permute"));
   ASSERT_NE(dev.checker(), nullptr);
   EXPECT_TRUE(dev.checker()->access_checking());
   EXPECT_TRUE(dev.checker()->permute_schedules());
 }
 
 TEST(KernelCheck, EnvVarZeroIsOff) {
-  EnvVarOverride guard("SIMCOV_KERNEL_CHECK", "0");
-  Device dev(0);
+  Device dev(0, from_kernel_check_env("0"));
   EXPECT_EQ(dev.checker(), nullptr);
 }
 
 // ---- seeded races: global memory -----------------------------------------
 
 TEST(KernelCheck, WriteWriteRaceDetected) {
-  EnvVarOverride guard("SIMCOV_KERNEL_CHECK", nullptr);
   Device dev(0, access_checked());
   DeviceBuffer<int> buf(dev, 4, 0, "race_target");
   const std::string err = launch_error([&] {
@@ -133,7 +118,6 @@ TEST(KernelCheck, WriteWriteRaceDetected) {
 }
 
 TEST(KernelCheck, DiagnosticsCarryKernelNameConfigAndFirstPair) {
-  EnvVarOverride guard("SIMCOV_KERNEL_CHECK", nullptr);
   Device dev(0, access_checked());
   DeviceBuffer<int> buf(dev, 4, 0, "race_target");
   const std::string err = launch_error([&] {
@@ -152,7 +136,6 @@ TEST(KernelCheck, DiagnosticsCarryKernelNameConfigAndFirstPair) {
 }
 
 TEST(KernelCheck, ReadWriteRaceDetected) {
-  EnvVarOverride guard("SIMCOV_KERNEL_CHECK", nullptr);
   Device dev(0, access_checked());
   DeviceBuffer<int> buf(dev, 2, 0, "rw_target");
   const std::string err = launch_error([&] {
@@ -169,7 +152,6 @@ TEST(KernelCheck, ReadWriteRaceDetected) {
 }
 
 TEST(KernelCheck, AtomicPlainMixDetected) {
-  EnvVarOverride guard("SIMCOV_KERNEL_CHECK", nullptr);
   Device dev(0, access_checked());
   DeviceBuffer<int> buf(dev, 1, 0, "mix_target");
   const std::string err = launch_error([&] {
@@ -186,7 +168,6 @@ TEST(KernelCheck, AtomicPlainMixDetected) {
 }
 
 TEST(KernelCheck, CrossBlockWriteConflictDetected) {
-  EnvVarOverride guard("SIMCOV_KERNEL_CHECK", nullptr);
   Device dev(0, access_checked());
   DeviceBuffer<int> buf(dev, 1, 0, "xblock");
   // Blocks are never ordered within a launch, phases or not.
@@ -203,7 +184,6 @@ TEST(KernelCheck, CrossBlockWriteConflictDetected) {
 }
 
 TEST(KernelCheck, AliasedViewsOfOneBufferDetected) {
-  EnvVarOverride guard("SIMCOV_KERNEL_CHECK", nullptr);
   Device dev(0, access_checked());
   DeviceBuffer<int> buf(dev, 2, 0, "aliased");
   // Two spans over the same storage: the shadow keys on the underlying
@@ -226,7 +206,6 @@ TEST(KernelCheck, AliasedViewsOfOneBufferDetected) {
 // ---- seeded races: shared memory -----------------------------------------
 
 TEST(KernelCheck, SharedSamePhaseWriteIsPhaseViolation) {
-  EnvVarOverride guard("SIMCOV_KERNEL_CHECK", nullptr);
   Device dev(0, access_checked());
   // The exact pattern the tile sweep used to have: every thread of the
   // block raises a single shared flag in the same phase.
@@ -242,7 +221,6 @@ TEST(KernelCheck, SharedSamePhaseWriteIsPhaseViolation) {
 }
 
 TEST(KernelCheck, SharedReadOfOtherThreadsSlotSamePhaseDetected) {
-  EnvVarOverride guard("SIMCOV_KERNEL_CHECK", nullptr);
   Device dev(0, access_checked());
   const std::string err = launch_error([&] {
     dev.launch_blocks({1, 4, "k_shared_norace_missing_sync"}, [&](auto& blk) {
@@ -261,7 +239,6 @@ TEST(KernelCheck, SharedReadOfOtherThreadsSlotSamePhaseDetected) {
 }
 
 TEST(KernelCheck, SharedPhasedTreeReductionIsClean) {
-  EnvVarOverride guard("SIMCOV_KERNEL_CHECK", nullptr);
   Device dev(0, access_checked());
   DeviceBuffer<int> out(dev, 1, 0, "tree_out");
   dev.launch_blocks({2, 4, "k_tree"}, [&](auto& blk) {
@@ -288,7 +265,6 @@ TEST(KernelCheck, SharedPhasedTreeReductionIsClean) {
 // ---- clean patterns stay silent ------------------------------------------
 
 TEST(KernelCheck, DisjointWritesClean) {
-  EnvVarOverride guard("SIMCOV_KERNEL_CHECK", nullptr);
   Device dev(0, access_checked());
   DeviceBuffer<std::uint64_t> buf(dev, 64, 0, "disjoint");
   dev.parallel_for({4, 16, "k_disjoint"}, [&](auto& t) {
@@ -299,7 +275,6 @@ TEST(KernelCheck, DisjointWritesClean) {
 }
 
 TEST(KernelCheck, AtomicReductionClean) {
-  EnvVarOverride guard("SIMCOV_KERNEL_CHECK", nullptr);
   Device dev(0, access_checked());
   DeviceBuffer<std::uint64_t> sum(dev, 1, 0, "sum");
   dev.parallel_for({2, 32, "k_atomic_sum"}, [&](auto& t) {
@@ -312,7 +287,6 @@ TEST(KernelCheck, AtomicReductionClean) {
 }
 
 TEST(KernelCheck, SameThreadReadModifyWriteClean) {
-  EnvVarOverride guard("SIMCOV_KERNEL_CHECK", nullptr);
   Device dev(0, access_checked());
   DeviceBuffer<int> buf(dev, 8, 1, "rmw");
   dev.parallel_for({1, 8, "k_rmw"}, [&](auto& t) {
@@ -324,7 +298,6 @@ TEST(KernelCheck, SameThreadReadModifyWriteClean) {
 }
 
 TEST(KernelCheck, FreshLaunchForgetsPreviousAccesses) {
-  EnvVarOverride guard("SIMCOV_KERNEL_CHECK", nullptr);
   Device dev(0, access_checked());
   DeviceBuffer<int> buf(dev, 1, 0, "sequential");
   // Same element written by different threads in *different launches*:
@@ -355,7 +328,6 @@ TEST(KernelCheck, SeededPermutationIsDeterministicAndComplete) {
 }
 
 TEST(KernelCheck, PermutationFlagsOrderDependentFloatReduction) {
-  EnvVarOverride guard("SIMCOV_KERNEL_CHECK", nullptr);
   Device dev(0, permuted());
   DeviceBuffer<double> sum(dev, 1, 0.0, "fp_sum");
   // (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1 in binary floating point: the
@@ -372,7 +344,6 @@ TEST(KernelCheck, PermutationFlagsOrderDependentFloatReduction) {
 }
 
 TEST(KernelCheck, PermutationCleanForIntegerAtomicsAndCountsOnce) {
-  EnvVarOverride guard("SIMCOV_KERNEL_CHECK", nullptr);
   Device dev(0, permuted());
   DeviceBuffer<std::uint64_t> sum(dev, 1, 0, "int_sum");
   dev.parallel_for({2, 8, "k_int_reduce"}, [&](auto& t) {
@@ -390,7 +361,6 @@ TEST(KernelCheck, PermutationCleanForIntegerAtomicsAndCountsOnce) {
 }
 
 TEST(KernelCheck, PermutationKeepsCanonicalResult) {
-  EnvVarOverride guard("SIMCOV_KERNEL_CHECK", nullptr);
   auto run = [](Device& dev) {
     DeviceBuffer<std::uint64_t> buf(dev, 32, 0, "squares");
     dev.parallel_for({2, 16, "k_squares"}, [&](auto& t) {
@@ -401,13 +371,12 @@ TEST(KernelCheck, PermutationKeepsCanonicalResult) {
     buf.copy_to_host(host);
     return host;
   };
-  Device plain(0);
+  Device plain(0, unchecked());
   Device checked(1, permuted());
   EXPECT_EQ(run(plain), run(checked));
 }
 
 TEST(KernelCheck, ToleratedVarianceIsCountedNotFatal) {
-  EnvVarOverride guard("SIMCOV_KERNEL_CHECK", nullptr);
   Device dev(0, permuted());
   DeviceBuffer<double> sum(dev, 1, 0.0, "fp_sum");
   sum.tolerate_schedule_variance("test: intentionally order-tolerant");
@@ -446,17 +415,17 @@ SimParams checker_sim_params() {
 }
 
 TEST(KernelCheck, FullGpuSimCleanUnderCheckerAndUnperturbed) {
-  EnvVarOverride guard("SIMCOV_KERNEL_CHECK", nullptr);
   const SimParams p = checker_sim_params();
   const Grid grid(p.dim_x, p.dim_y, p.dim_z);
   const auto foi = foi_uniform_random(grid, p.num_foi, p.seed);
 
   gpu::GpuSimOptions plain;
   plain.record_digests = true;
+  plain.obs = obs::Config{};
   const auto base = gpu::run_gpu_sim(p, foi, plain);
 
   gpu::GpuSimOptions checked = plain;
-  checked.check_kernels = true;
+  checked.obs.kernel_check = true;
   const auto r = gpu::run_gpu_sim(p, foi, checked);
   EXPECT_EQ(r.check_violations, 0u);
   EXPECT_GT(r.check_accesses, 0u);
@@ -465,7 +434,6 @@ TEST(KernelCheck, FullGpuSimCleanUnderCheckerAndUnperturbed) {
 }
 
 TEST(KernelCheck, SmokeScenarioBitIdenticalUnderPermutedSchedules) {
-  EnvVarOverride guard("SIMCOV_KERNEL_CHECK", nullptr);
   // The cli_gpu_smoke configuration: every launch of every step must
   // produce bit-identical buffers under reversed and shuffled schedules,
   // and the permuted run's digests must equal the plain run's.
@@ -482,11 +450,12 @@ TEST(KernelCheck, SmokeScenarioBitIdenticalUnderPermutedSchedules) {
 
   gpu::GpuSimOptions plain;
   plain.record_digests = true;
+  plain.obs = obs::Config{};
   const auto base = gpu::run_gpu_sim(p, foi, plain);
 
   gpu::GpuSimOptions perm = plain;
-  perm.check_kernels = true;
-  perm.permute_schedules = true;
+  perm.obs.kernel_check = true;
+  perm.obs.permute = true;
   const auto r = gpu::run_gpu_sim(p, foi, perm);
   EXPECT_EQ(r.check_violations, 0u);
   EXPECT_EQ(r.digests, base.digests);

@@ -30,7 +30,7 @@ using gpusim::DeviceOptions;
 
 DeviceOptions memscope_options() {
   DeviceOptions o;
-  o.memscope = true;
+  o.obs.memscope = true;
   return o;
 }
 
@@ -287,7 +287,7 @@ TEST(MemScope, GpuSingleRankRegistryMatchesHandComputedLayout) {
 
   gpu::GpuSimOptions opt;
   opt.num_ranks = 1;
-  opt.memscope = true;
+  opt.obs.memscope = true;
   const gpu::GpuRunResult r = gpu::run_gpu_sim(p, foi, opt);
   ASSERT_FALSE(r.memory.empty());
 
@@ -322,7 +322,7 @@ TEST(MemScope, GpuMultiRankCategorySumsEqualRegistryTotal) {
 
   gpu::GpuSimOptions opt;
   opt.num_ranks = 4;
-  opt.memscope = true;
+  opt.obs.memscope = true;
   const gpu::GpuRunResult r = gpu::run_gpu_sim(p, foi, opt);
   ASSERT_FALSE(r.memory.empty());
 
@@ -363,7 +363,7 @@ TEST(MemScope, CpuSingleRankRegistryMatchesHandComputedLayout) {
 
   cpu::CpuSimOptions opt;
   opt.num_ranks = 1;
-  opt.memscope = true;
+  opt.obs.memscope = true;
   const cpu::CpuRunResult r = cpu::run_cpu_sim(p, foi, opt);
   ASSERT_FALSE(r.memory.empty());
 
@@ -393,7 +393,7 @@ TEST(MemScope, GpuDigestsBitIdenticalMemScopeOnOff) {
   off.num_ranks = 2;
   off.record_digests = true;
   gpu::GpuSimOptions on = off;
-  on.memscope = true;
+  on.obs.memscope = true;
 
   const gpu::GpuRunResult r_off = gpu::run_gpu_sim(p, foi, off);
   const gpu::GpuRunResult r_on = gpu::run_gpu_sim(p, foi, on);
@@ -423,7 +423,7 @@ TEST(MemScope, CpuDigestsBitIdenticalMemScopeOnOff) {
   off.num_ranks = 2;
   off.record_digests = true;
   cpu::CpuSimOptions on = off;
-  on.memscope = true;
+  on.obs.memscope = true;
 
   const cpu::CpuRunResult r_off = cpu::run_cpu_sim(p, foi, off);
   const cpu::CpuRunResult r_on = cpu::run_cpu_sim(p, foi, on);

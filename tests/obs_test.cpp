@@ -17,10 +17,12 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/params.hpp"
 #include "harness/experiment.hpp"
+#include "obs/config.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
@@ -196,10 +198,11 @@ SimParams test_params() {
   return p;
 }
 
-void run_gpu_4ranks() {
+void run_gpu_4ranks(const obs::Config& config = obs::Config::from_env()) {
   const SimParams p = test_params();
   gpu::GpuSimOptions opt;
   opt.num_ranks = 4;
+  opt.obs = config;
   harness::RunSpec spec;
   spec.params = p;
   (void)gpu::run_gpu_sim(p, spec.resolve_foi(), opt);
@@ -264,12 +267,140 @@ TEST(Tracer, EnvVarSetsRingCapacity) {
   EXPECT_EQ(obs::tracer().capacity(), 4u);
   obs::tracer().disable();
 
-  // Garbage in the environment falls back to the default (with a warning).
+  // Garbage in the environment is an error naming the variable.
   ::setenv("SIMCOV_TRACE_RING", "not-a-number", 1);
-  obs::tracer().enable("");
-  EXPECT_EQ(obs::tracer().capacity(), obs::Tracer::kDefaultCapacity);
+  try {
+    obs::tracer().enable("");
+    ADD_FAILURE() << "malformed SIMCOV_TRACE_RING accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("SIMCOV_TRACE_RING"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_FALSE(obs::tracer().enabled());
   ::unsetenv("SIMCOV_TRACE_RING");
   reset_obs();
+}
+
+// ---- obs::Config: the one knob surface -------------------------------------
+
+/// A Config parsed from an environment holding only `name=value`.
+obs::Config env_with(const char* name, const char* value) {
+  return obs::Config::from_env([=](const char* n) {
+    return std::string_view(n) == name ? value : nullptr;
+  });
+}
+
+/// The error message a parse throws, or "" when it does not throw.
+template <typename F>
+std::string parse_error(F&& parse) {
+  try {
+    parse();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ObsConfig, EveryKnobFollowsOneRuleOnEverySurface) {
+  // Each knob x {unset, valid, malformed} through the environment, the CLI
+  // flag and the driver config key.  Paths accept any value, so they have
+  // no malformed case.
+  struct Row {
+    const char* env;
+    const char* flag;  ///< nullptr: no CLI flag
+    const char* key;   ///< nullptr: no config key
+    const char* valid;
+    const char* malformed;  ///< nullptr: every value parses
+    bool (*applied)(const obs::Config&);
+  };
+  const Row rows[] = {
+      {"SIMCOV_KERNEL_CHECK", nullptr, "kernel_check", "permute", "yes",
+       [](const obs::Config& c) { return c.kernel_check && c.permute; }},
+      {"SIMCOV_PGAS_CHECK", nullptr, nullptr, "1", "true",
+       [](const obs::Config& c) { return c.pgas_check; }},
+      {"SIMCOV_PROFILE", "--profile", "profile", "1", "false",
+       [](const obs::Config& c) { return c.profile; }},
+      {"SIMCOV_MEMSCOPE", "--memscope", "memscope", "1", "on",
+       [](const obs::Config& c) { return c.memscope; }},
+      {"SIMCOV_CRITPATH", "--critpath", "critpath", "1", "2",
+       [](const obs::Config& c) { return c.critpath; }},
+      {"SIMCOV_TRACE", "--trace", nullptr, "t.json", nullptr,
+       [](const obs::Config& c) { return c.trace_path == "t.json"; }},
+      {"SIMCOV_TRACE_RING", "--trace-ring", nullptr, "8", "garbage",
+       [](const obs::Config& c) { return c.trace_ring == 8; }},
+      {"SIMCOV_METRICS", "--metrics-out", nullptr, "m.csv", nullptr,
+       [](const obs::Config& c) { return c.metrics_path == "m.csv"; }},
+      {"SIMCOV_SERIES_CAP", "--series-cap", nullptr, "2100", "-3",
+       [](const obs::Config& c) { return c.series_cap == 2100; }},
+      {"SIMCOV_BENCH_DIR", nullptr, nullptr, "/tmp/b", nullptr,
+       [](const obs::Config& c) { return c.bench_dir == "/tmp/b"; }},
+  };
+  for (const Row& r : rows) {
+    SCOPED_TRACE(r.env);
+    EXPECT_FALSE(r.applied(env_with("SIMCOV_UNRELATED", "1")));  // unset
+    EXPECT_FALSE(r.applied(env_with(r.env, "")));  // empty counts as unset
+    EXPECT_TRUE(r.applied(env_with(r.env, r.valid)));
+    if (r.malformed != nullptr) {
+      const std::string err =
+          parse_error([&] { (void)env_with(r.env, r.malformed); });
+      EXPECT_NE(err.find(r.env), std::string::npos) << err;
+    }
+    if (r.flag != nullptr) {
+      obs::Config c{};
+      EXPECT_TRUE(c.apply_flag(std::string(r.flag) + "=" + r.valid));
+      EXPECT_TRUE(r.applied(c));
+      if (r.malformed != nullptr) {
+        const std::string err = parse_error([&] {
+          obs::Config{}.apply_flag(std::string(r.flag) + "=" + r.malformed);
+        });
+        EXPECT_NE(err.find(r.flag), std::string::npos) << err;
+      }
+    }
+    if (r.key != nullptr) {
+      obs::Config c{};
+      EXPECT_TRUE(c.apply_key(r.key, r.valid));
+      EXPECT_TRUE(r.applied(c));
+      if (r.malformed != nullptr) {
+        const std::string err =
+            parse_error([&] { obs::Config{}.apply_key(r.key, r.malformed); });
+        EXPECT_NE(err.find(r.key), std::string::npos) << err;
+      }
+    }
+  }
+  // An unset environment is the default Config.
+  const obs::Config unset = env_with("SIMCOV_UNRELATED", "1");
+  EXPECT_EQ(unset.series_cap, obs::MetricsRegistry::kDefaultSeriesCap);
+  EXPECT_EQ(unset.trace_ring, 0u);
+  EXPECT_EQ(unset.bench_dir, ".");
+  // Anything that is not a knob is left to the caller.
+  obs::Config c{};
+  EXPECT_FALSE(c.apply_flag("--summary=all"));
+  EXPECT_FALSE(c.apply_flag("--profile"));
+  EXPECT_FALSE(c.apply_key("engine", "gpu"));
+}
+
+TEST(ObsConfig, CliBeatsEnvironment) {
+  const obs::Config env = obs::Config::from_env([](const char* n) {
+    const std::string_view name(n);
+    if (name == "SIMCOV_SERIES_CAP") return "10";
+    return name == "SIMCOV_PROFILE" || name == "SIMCOV_CRITPATH" ||
+                   name == "SIMCOV_KERNEL_CHECK"
+               ? "1"
+               : nullptr;
+  });
+  ASSERT_TRUE(env.profile && env.critpath && env.kernel_check);
+  obs::Config cli = env;
+  EXPECT_TRUE(cli.apply_flag("--profile=0"));
+  EXPECT_TRUE(cli.apply_key("critpath", "0"));
+  EXPECT_TRUE(cli.apply_flag("--series-cap=0"));
+  EXPECT_FALSE(cli.profile);
+  EXPECT_FALSE(cli.critpath);
+  EXPECT_EQ(cli.series_cap, 0u);
+  EXPECT_TRUE(cli.kernel_check);  // knobs the CLI leaves alone keep env's
+  // Explicit off beating the environment in the options structs is tested
+  // end to end by KernelCheck.EnvVarEnablesAccessChecking and
+  // PgasChecker.EnvEnabledCheckerCatchesViolations.
 }
 
 // ---- end-to-end trace validity --------------------------------------------
@@ -278,12 +409,10 @@ TEST(Trace, GpuRunProducesValidNestedJsonPerRankUnderChecker) {
   reset_obs();
   // The PGAS discipline checker runs alongside the tracer: the run must
   // stay violation-free (run_gpu_sim throws otherwise).
-  ::setenv("SIMCOV_PGAS_CHECK", "1", 1);
   obs::tracer().enable("");
-  ASSERT_NO_THROW(run_gpu_4ranks());
+  ASSERT_NO_THROW(run_gpu_4ranks({.pgas_check = true}));
   const std::string json = obs::tracer().to_json();
   reset_obs();
-  ::unsetenv("SIMCOV_PGAS_CHECK");
 
   JsonValue root;
   ASSERT_NO_THROW(root = JsonParser(json).parse());
@@ -513,10 +642,10 @@ TEST(Metrics, GpuSnapshotDeterministicForFixedSeedAndRanks) {
 TEST(Harness, ConfigureObservabilityRejectsUnwritablePaths) {
   reset_obs();
   EXPECT_THROW(harness::configure_observability(
-                   "/nonexistent-simcov-dir/trace.json", ""),
+                   {.trace_path = "/nonexistent-simcov-dir/trace.json"}),
                Error);
   EXPECT_THROW(harness::configure_observability(
-                   "", "/nonexistent-simcov-dir/metrics.csv"),
+                   {.metrics_path = "/nonexistent-simcov-dir/metrics.csv"}),
                Error);
   // Failed configuration must not leave a collector half-enabled.
   EXPECT_FALSE(obs::tracer().enabled());

@@ -28,37 +28,10 @@
 namespace simcov::pgas {
 namespace {
 
-RuntimeOptions checked() { return RuntimeOptions{.check_discipline = true}; }
-
-/// Scoped override (or removal, when value == nullptr) of an environment
-/// variable, restoring the previous state on destruction.  The sanitizer
-/// test presets export SIMCOV_PGAS_CHECK=1 for the whole suite, so tests
-/// that rely on the checker being *off* must pin the variable explicitly.
-struct EnvVarOverride {
-  EnvVarOverride(const char* var, const char* value) : name(var) {
-    const char* prev_raw = std::getenv(var);
-    had_prev = prev_raw != nullptr;
-    if (had_prev) prev = prev_raw;
-    if (value != nullptr) {
-      ::setenv(var, value, 1);
-    } else {
-      ::unsetenv(var);
-    }
-  }
-  ~EnvVarOverride() {
-    if (had_prev) {
-      ::setenv(name, prev.c_str(), 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  EnvVarOverride(const EnvVarOverride&) = delete;
-  EnvVarOverride& operator=(const EnvVarOverride&) = delete;
-
-  const char* name;
-  std::string prev;
-  bool had_prev = false;
-};
+RuntimeOptions checked() { return {.obs = {.pgas_check = true}}; }
+/// Checker off whatever the environment says (the sanitizer test presets
+/// export SIMCOV_PGAS_CHECK=1 for the whole suite).
+RuntimeOptions unchecked() { return {.obs = {}}; }
 
 /// Runs `body` under the checker and returns the diagnostic ("" if clean).
 std::string checked_run_error(int ranks,
@@ -100,9 +73,8 @@ std::function<void(Rank&)> unbarriered_read_program(std::atomic<bool>& put_done)
 }
 
 TEST(PgasChecker, UnbarrieredReadIsSilentWithoutChecker) {
-  EnvVarOverride off("SIMCOV_PGAS_CHECK", nullptr);
   std::atomic<bool> put_done{false};
-  Runtime rt(2);
+  Runtime rt(2, unchecked());
   EXPECT_NO_THROW(rt.run(unbarriered_read_program(put_done)));
 }
 
@@ -165,8 +137,7 @@ std::function<void(Rank&)> conflicting_puts_program() {
 }
 
 TEST(PgasChecker, ConflictingPutsAreSilentWithoutChecker) {
-  EnvVarOverride off("SIMCOV_PGAS_CHECK", nullptr);
-  Runtime rt(3);
+  Runtime rt(3, unchecked());
   EXPECT_NO_THROW(rt.run(conflicting_puts_program()));
 }
 
@@ -213,8 +184,7 @@ std::function<void(Rank&)> undrained_rpc_program() {
 }
 
 TEST(PgasChecker, UndrainedRpcsAreSilentWithoutChecker) {
-  EnvVarOverride off("SIMCOV_PGAS_CHECK", nullptr);
-  Runtime rt(2);
+  Runtime rt(2, unchecked());
   EXPECT_NO_THROW(rt.run(undrained_rpc_program()));
 }
 
@@ -249,8 +219,7 @@ std::function<void(Rank&)> collective_op_mismatch_program() {
 }
 
 TEST(PgasChecker, CollectiveOpMismatchIsSilentWithoutChecker) {
-  EnvVarOverride off("SIMCOV_PGAS_CHECK", nullptr);
-  Runtime rt(2);
+  Runtime rt(2, unchecked());
   EXPECT_NO_THROW(rt.run(collective_op_mismatch_program()));
 }
 
@@ -303,24 +272,32 @@ TEST(PgasChecker, MatchedCollectivesAreClean) {
 // ---------------------------------------------------------------------------
 
 TEST(PgasChecker, OffByDefaultOnViaOptionsOrEnv) {
-  EnvVarOverride base("SIMCOV_PGAS_CHECK", nullptr);
-  EXPECT_FALSE(Runtime(2).checking_enabled());
+  EXPECT_FALSE(Runtime(2, unchecked()).checking_enabled());
   EXPECT_TRUE(Runtime(2, checked()).checking_enabled());
-  {
-    EnvVarOverride guard("SIMCOV_PGAS_CHECK", "1");
-    EXPECT_TRUE(Runtime(2).checking_enabled());
-  }
-  {
-    EnvVarOverride guard("SIMCOV_PGAS_CHECK", "0");
-    EXPECT_FALSE(Runtime(2).checking_enabled());
-  }
-  EXPECT_FALSE(Runtime(2).checking_enabled());
+  // The environment only supplies the options' default (see below).
+  EXPECT_EQ(Runtime(2).checking_enabled(),
+            obs::Config::from_env().pgas_check);
 }
 
 TEST(PgasChecker, EnvEnabledCheckerCatchesViolations) {
-  EnvVarOverride guard("SIMCOV_PGAS_CHECK", "1");
-  Runtime rt(2);
-  EXPECT_THROW(rt.run(undrained_rpc_program()), Error);
+  // End to end: SIMCOV_PGAS_CHECK reaches a Runtime built with default
+  // options, which is how the sanitizer presets check every Runtime the
+  // suite builds.  The caller's value is restored before asserting.
+  const char* prev = std::getenv("SIMCOV_PGAS_CHECK");
+  const std::string saved = prev != nullptr ? prev : "";
+  ::setenv("SIMCOV_PGAS_CHECK", "1", 1);
+  Runtime on(2);
+  Runtime explicit_off(2, unchecked());
+  ::setenv("SIMCOV_PGAS_CHECK", "0", 1);
+  Runtime off(2);
+  if (prev != nullptr) {
+    ::setenv("SIMCOV_PGAS_CHECK", saved.c_str(), 1);
+  } else {
+    ::unsetenv("SIMCOV_PGAS_CHECK");
+  }
+  EXPECT_FALSE(off.checking_enabled());
+  EXPECT_FALSE(explicit_off.checking_enabled());
+  EXPECT_THROW(on.run(undrained_rpc_program()), Error);
 }
 
 // ---------------------------------------------------------------------------
@@ -345,7 +322,6 @@ SimParams checker_sim_params() {
 }
 
 TEST(PgasChecker, CpuAndGpuSimulationsRunCleanUnderChecker) {
-  EnvVarOverride guard("SIMCOV_PGAS_CHECK", "1");
   const SimParams p = checker_sim_params();
   const Grid grid(p.dim_x, p.dim_y, p.dim_z);
   const auto foi = foi_uniform_random(grid, p.num_foi, p.seed);
@@ -360,6 +336,7 @@ TEST(PgasChecker, CpuAndGpuSimulationsRunCleanUnderChecker) {
   cpu::CpuSimOptions copt;
   copt.num_ranks = 4;
   copt.record_digests = true;
+  copt.obs.pgas_check = true;
   cpu::CpuRunResult cres;
   ASSERT_NO_THROW(cres = cpu::run_cpu_sim(p, foi, copt));
   EXPECT_EQ(cres.digests, ref_digests);
@@ -367,6 +344,7 @@ TEST(PgasChecker, CpuAndGpuSimulationsRunCleanUnderChecker) {
   gpu::GpuSimOptions gopt;
   gopt.num_ranks = 4;
   gopt.record_digests = true;
+  gopt.obs.pgas_check = true;
   gpu::GpuRunResult gres;
   ASSERT_NO_THROW(gres = gpu::run_gpu_sim(p, foi, gopt));
   EXPECT_EQ(gres.digests, ref_digests);

@@ -27,7 +27,7 @@ using gpusim::ThreadCtx;
 
 DeviceOptions profiled_options() {
   DeviceOptions o;
-  o.profile = true;
+  o.obs.profile = true;
   return o;
 }
 
@@ -275,7 +275,7 @@ TEST(KernelProf, DigestsAndDeviceStatsBitIdenticalProfilingOnOff) {
   off.num_ranks = 2;
   off.record_digests = true;
   gpu::GpuSimOptions on = off;
-  on.profile = true;
+  on.obs.profile = true;
 
   const gpu::GpuRunResult r_off = gpu::run_gpu_sim(p, foi, off);
   const gpu::GpuRunResult r_on = gpu::run_gpu_sim(p, foi, on);
@@ -323,11 +323,11 @@ TEST(KernelProf, ComposesWithPermutedKernelCheck) {
   gpu::GpuSimOptions plain;
   plain.num_ranks = 2;
   plain.record_digests = true;
-  plain.profile = true;
+  plain.obs.profile = true;
 
   gpu::GpuSimOptions checked = plain;
-  checked.check_kernels = true;
-  checked.permute_schedules = true;
+  checked.obs.kernel_check = true;
+  checked.obs.permute = true;
 
   const gpu::GpuRunResult r_plain = gpu::run_gpu_sim(p, foi, plain);
   const gpu::GpuRunResult r_checked = gpu::run_gpu_sim(p, foi, checked);

@@ -233,8 +233,8 @@ TEST(StencilSweep, GpuRowKernelsCleanUnderSchedulePermutation) {
   p.num_steps = 8;  // permutation triples every launch
   gpu::GpuSimOptions opt;
   opt.num_ranks = 2;
-  opt.check_kernels = true;
-  opt.permute_schedules = true;
+  opt.obs.kernel_check = true;
+  opt.obs.permute = true;
   opt.record_digests = true;
   const auto checked = gpu::run_gpu_sim(p, foi_for(p), opt);
   gpu::GpuSimOptions plain;
