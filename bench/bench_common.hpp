@@ -17,9 +17,7 @@
 // Modeled runtimes are therefore per-step comparable to the paper's
 // machines; absolute totals are smaller because we run ~100x fewer steps.
 
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
@@ -183,7 +181,8 @@ class Reporter {
     cfg.modeled_s = r.cost.total_s;
     cfg.measured_by_phase_s = obs::BenchReport::measured_phases_from(counters);
     cfg.modeled_by_phase_s = obs::BenchReport::modeled_phases_from(r.cost);
-    cfg.drift = obs::BenchReport::drift_from(counters, r.cost);
+    cfg.drift = obs::BenchReport::drift_from(cfg.measured_by_phase_s,
+                                             cfg.modeled_by_phase_s);
     if (!r.kernel_profile.empty()) {
       // Per-kernel roofline drift rows decomposing the phase drift above.
       // The harness always models the default machine spec.
@@ -219,380 +218,5 @@ class Reporter {
 
   obs::BenchReport report_;
 };
-
-/// `spec` with every instrument off, whatever the environment says — the
-/// base of the overhead gates' "off" and "on" runs.
-inline harness::RunSpec all_off(harness::RunSpec spec) {
-  spec.obs = obs::Config{};
-  return spec;
-}
-
-/// Wall nanoseconds per step of an all-instruments-off GPU run.
-inline double off_step_ns(const harness::RunSpec& spec, int ranks) {
-  const harness::RunSpec off = all_off(spec);
-  const auto t0 = std::chrono::steady_clock::now();
-  harness::run_gpu(off, ranks);
-  const auto t1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::nano>(t1 - t0).count() /
-         static_cast<double>(spec.params.num_steps);
-}
-
-/// Measured cost of the observability layer when it is *disabled*.  The
-/// contract (src/obs/trace.hpp) is one relaxed atomic load + branch per
-/// span/metric site; this report turns that into a fraction of real step
-/// time so the gate survives site-count growth.
-struct ObsOverheadReport {
-  double ns_per_site = 0.0;     ///< measured cost of one disabled span site
-  double sites_per_step = 0.0;  ///< span + metric sites hit per step
-  double step_ns = 0.0;         ///< wall time of one step, observability off
-  double overhead() const {
-    return step_ns > 0.0 ? ns_per_site * sites_per_step / step_ns : 0.0;
-  }
-};
-
-/// Measures the disabled-observability overhead of `spec` on the GPU
-/// backend: (1) times a disabled span site in a tight loop, (2) counts the
-/// sites one step actually hits by running once with both collectors on
-/// (in-memory, no output files), (3) times a run with observability off.
-inline ObsOverheadReport measure_obs_overhead(const harness::RunSpec& spec,
-                                              int ranks) {
-  ObsOverheadReport r;
-  obs::tracer().disable();
-  obs::metrics().disable();
-
-  {
-    constexpr int kIters = 1 << 21;
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int i = 0; i < kIters; ++i) {
-      // The relaxed enabled() load in the constructor cannot be hoisted or
-      // deleted, so the loop body survives optimization.
-      obs::ScopedSpan probe("obs_overhead_probe", 0);
-    }
-    const auto t1 = std::chrono::steady_clock::now();
-    r.ns_per_site =
-        std::chrono::duration<double, std::nano>(t1 - t0).count() / kIters;
-  }
-
-  {
-    obs::tracer().enable("");
-    obs::metrics().enable("");
-    harness::run_gpu(all_off(spec), ranks);
-    const double sites = static_cast<double>(
-        obs::tracer().event_count() + obs::tracer().dropped() +
-        obs::metrics().datapoint_count());
-    obs::tracer().disable();
-    obs::metrics().disable();
-    r.sites_per_step = sites / static_cast<double>(spec.params.num_steps);
-  }
-  r.step_ns = off_step_ns(spec, ranks);
-  return r;
-}
-
-/// Measured cost of the KernelCheck analyzer when it is *disabled*.  The
-/// contract (src/gpusim/check.hpp) is one pointer load + branch per
-/// GlobalSpan / shared-memory access; like ObsOverheadReport, the gate is
-/// expressed as a fraction of real step time so it survives access-count
-/// growth.
-struct KernelCheckOverheadReport {
-  double ns_per_site = 0.0;     ///< measured cost of one disabled check site
-  double sites_per_step = 0.0;  ///< instrumented accesses per step
-  double step_ns = 0.0;         ///< wall time of one step, checker off
-  double overhead() const {
-    return step_ns > 0.0 ? ns_per_site * sites_per_step / step_ns : 0.0;
-  }
-};
-
-/// Measures the disabled-KernelCheck overhead of `spec` on the GPU backend:
-/// (1) times the null-checker branch in a tight loop, (2) counts the
-/// instrumented accesses one step hits by running once with the checker on,
-/// (3) times a checker-off run.  Both runs start from an all-off
-/// obs::Config, so an environment-enabled instrument cannot contaminate
-/// them.
-inline KernelCheckOverheadReport measure_kernel_check_overhead(
-    const harness::RunSpec& spec, int ranks) {
-  KernelCheckOverheadReport r;
-
-  {
-    // The disabled path in GlobalSpan::read/write/atomic_add is exactly
-    // `if (chk_) ...` on a pointer member.  Its cost is measured
-    // *differentially inside a modeled accessor* (bounds assert + stats
-    // bump + the data access), because that is where the branch actually
-    // executes: out-of-order cores overlap a predicted-not-taken branch
-    // with the surrounding work, so timing it in an empty loop would
-    // overstate the cost ~10x.  Minimum over repetitions rejects timer and
-    // scheduler noise (noise is strictly additive here).
-    constexpr int kIters = 1 << 21;
-    constexpr int kReps = 5;
-    gpusim::KernelChecker* volatile chk = nullptr;
-    std::vector<double> data(4096, 1.0);
-    std::uint64_t reads = 0;
-    double acc = 0.0;
-    const auto accessor_loop = [&](bool with_hook) {
-      const auto t0 = std::chrono::steady_clock::now();
-      for (int i = 0; i < kIters; ++i) {
-        const std::size_t idx = static_cast<std::size_t>(i) & 4095u;
-        if (idx >= data.size()) std::abort();
-        ++reads;
-        if (with_hook) {
-          gpusim::KernelChecker* c = chk;
-          if (c != nullptr) {
-            c->on_global_access(data.data(), idx,
-                                gpusim::KernelChecker::Access::kRead);
-          }
-        }
-        acc += data[idx];
-      }
-      const auto t1 = std::chrono::steady_clock::now();
-      return std::chrono::duration<double, std::nano>(t1 - t0).count() /
-             kIters;
-    };
-    accessor_loop(false);  // warm-up
-    double best = 0.0;
-    for (int rep = 0; rep < kReps; ++rep) {
-      const double diff = accessor_loop(true) - accessor_loop(false);
-      if (rep == 0 || diff < best) best = diff;
-    }
-    // `acc`/`reads` keep the loops alive; fold them into the (never-taken)
-    // error path so the compiler cannot drop them.
-    if (acc < 0.0 || reads == 0) std::abort();
-    r.ns_per_site = best > 0.0 ? best : 0.0;
-  }
-
-  harness::RunSpec on = all_off(spec);
-  on.obs.kernel_check = true;
-  r.sites_per_step =
-      static_cast<double>(harness::run_gpu(on, ranks).check_accesses) /
-      static_cast<double>(spec.params.num_steps);
-  r.step_ns = off_step_ns(spec, ranks);
-  return r;
-}
-
-/// Measured cost of KernelProf when it is *disabled*.  The contract
-/// (src/obs/profile.hpp) is one pointer load + branch per GlobalSpan *bind*
-/// (ThreadCtx/BlockCtx::global), not per access; the gate is that branch's
-/// cost times the binds one step performs, as a fraction of real step time.
-struct ProfileOverheadReport {
-  double ns_per_site = 0.0;     ///< measured cost of one disabled bind branch
-  double sites_per_step = 0.0;  ///< GlobalSpan binds per step
-  double step_ns = 0.0;         ///< wall time of one step, profiler off
-  double overhead() const {
-    return step_ns > 0.0 ? ns_per_site * sites_per_step / step_ns : 0.0;
-  }
-};
-
-/// Measures the disabled-KernelProf overhead of `spec` on the GPU backend:
-/// (1) times the null-slot branch differentially inside a modeled bind
-/// sequence, (2) counts the binds one step performs by running once with the
-/// profiler on (KernelProf::total_binds via GpuRunResult::prof_binds),
-/// (3) times a profiler-off run.  Both runs start from an all-off
-/// obs::Config.
-inline ProfileOverheadReport measure_profile_overhead(
-    const harness::RunSpec& spec, int ranks) {
-  ProfileOverheadReport r;
-
-  {
-    // The disabled path in ThreadCtx/BlockCtx::global is exactly
-    // `if (ProfSlot* p = buf.prof_slot_)` on a cached pointer member.  As
-    // with the KernelCheck probe above, the branch is timed differentially
-    // inside a modeled bind (pointer loads + a small struct return) and the
-    // minimum over repetitions rejects additive noise.
-    constexpr int kIters = 1 << 21;
-    constexpr int kReps = 5;
-    obs::ProfSlot* volatile slot = nullptr;
-    std::vector<double> data(4096, 1.0);
-    std::uint64_t binds = 0;
-    double acc = 0.0;
-    const auto bind_loop = [&](bool with_hook) {
-      const auto t0 = std::chrono::steady_clock::now();
-      for (int i = 0; i < kIters; ++i) {
-        const std::size_t idx = static_cast<std::size_t>(i) & 4095u;
-        if (idx >= data.size()) std::abort();
-        ++binds;
-        if (with_hook) {
-          obs::ProfSlot* p = slot;
-          if (p != nullptr) ++p->binds;
-        }
-        acc += data[idx];
-      }
-      const auto t1 = std::chrono::steady_clock::now();
-      return std::chrono::duration<double, std::nano>(t1 - t0).count() /
-             kIters;
-    };
-    bind_loop(false);  // warm-up
-    double best = 0.0;
-    for (int rep = 0; rep < kReps; ++rep) {
-      const double diff = bind_loop(true) - bind_loop(false);
-      if (rep == 0 || diff < best) best = diff;
-    }
-    if (acc < 0.0 || binds == 0) std::abort();
-    r.ns_per_site = best > 0.0 ? best : 0.0;
-  }
-
-  harness::RunSpec on = all_off(spec);
-  on.obs.profile = true;
-  r.sites_per_step =
-      static_cast<double>(harness::run_gpu(on, ranks).prof_binds) /
-      static_cast<double>(spec.params.num_steps);
-  r.step_ns = off_step_ns(spec, ranks);
-  return r;
-}
-
-/// Measured cost of MemScope when it is *disabled*.  The contract
-/// (src/obs/memscope.hpp) is one null-pointer or relaxed-atomic-flag branch
-/// per allocation event and per phase boundary — never on the per-access
-/// path; the gate is that branch's cost times the sites one step hits, as a
-/// fraction of real step time.
-struct MemScopeOverheadReport {
-  double ns_per_site = 0.0;     ///< measured cost of one disabled flag branch
-  double sites_per_step = 0.0;  ///< phase boundaries + alloc events per step
-  double step_ns = 0.0;         ///< wall time of one step, memscope off
-  double overhead() const {
-    return step_ns > 0.0 ? ns_per_site * sites_per_step / step_ns : 0.0;
-  }
-};
-
-/// Measures the disabled-MemScope overhead of `spec` on the GPU backend:
-/// (1) times the relaxed memscope_on() flag load + branch differentially
-/// inside a modeled phase boundary, (2) counts the sites one step hits by
-/// running once with MemScope on (RSS-sampler phase-boundary calls plus
-/// registry alloc/free events), (3) times a memscope-off run.  Both runs
-/// start from an all-off obs::Config.
-inline MemScopeOverheadReport measure_memscope_overhead(
-    const harness::RunSpec& spec, int ranks) {
-  MemScopeOverheadReport r;
-
-  {
-    // The disabled path at a phase boundary is exactly `if (mem_)` on a
-    // bool cached from one relaxed atomic load per step
-    // (obs::PhaseClock::begin_step / phase_end); at an allocation event it
-    // is `if (mem_)` on a null unique_ptr.  Both are timed differentially
-    // inside a modeled phase-boundary sequence, with the minimum over
-    // repetitions rejecting additive noise, as for the checker/profiler
-    // probes above.
-    constexpr int kIters = 1 << 21;
-    constexpr int kReps = 5;
-    std::vector<double> data(4096, 1.0);
-    std::uint64_t marks = 0;
-    std::uint64_t hits = 0;
-    double acc = 0.0;
-    const auto boundary_loop = [&](bool with_hook) {
-      const auto t0 = std::chrono::steady_clock::now();
-      for (int i = 0; i < kIters; ++i) {
-        const std::size_t idx = static_cast<std::size_t>(i) & 4095u;
-        if (idx >= data.size()) std::abort();
-        ++marks;
-        if (with_hook) {
-          // The flag is false for the whole probe (no MemScopeRun
-          // active), so this is the not-taken branch the contract prices.
-          if (obs::memscope_on()) ++hits;
-        }
-        acc += data[idx];
-      }
-      const auto t1 = std::chrono::steady_clock::now();
-      return std::chrono::duration<double, std::nano>(t1 - t0).count() /
-             kIters;
-    };
-    boundary_loop(false);  // warm-up
-    double best = 0.0;
-    for (int rep = 0; rep < kReps; ++rep) {
-      const double diff = boundary_loop(true) - boundary_loop(false);
-      if (rep == 0 || diff < best) best = diff;
-    }
-    if (acc < 0.0 || marks == 0 || hits != 0) std::abort();
-    r.ns_per_site = best > 0.0 ? best : 0.0;
-  }
-
-  {
-    harness::RunSpec on = all_off(spec);
-    on.obs.memscope = true;
-    obs::rss_sampler().reset();
-    const harness::BackendResult scoped = harness::run_gpu(on, ranks);
-    // Every disabled-branch site fires exactly once in an enabled run:
-    // phase boundaries show up as RSS-sampler calls, allocation events as
-    // registry alloc/free counts.
-    const double sites =
-        static_cast<double>(obs::rss_sampler().calls()) +
-        static_cast<double>(scoped.memory.alloc_events +
-                            scoped.memory.free_events);
-    obs::rss_sampler().reset();
-    r.sites_per_step = sites / static_cast<double>(spec.params.num_steps);
-  }
-  r.step_ns = off_step_ns(spec, ranks);
-  return r;
-}
-
-/// Measured cost of CritPath when it is *disabled*.  The contract
-/// (src/obs/critpath.hpp) is one null-pointer branch per phase boundary and
-/// per step — the gather itself runs only when critpath is on; the gate is
-/// that branch's cost times the sites one step hits, as a fraction of real
-/// step time.
-struct CritPathOverheadReport {
-  double ns_per_site = 0.0;     ///< measured cost of one disabled null branch
-  double sites_per_step = 0.0;  ///< phase boundaries + step hooks per step
-  double step_ns = 0.0;         ///< wall time of one step, critpath off
-  double overhead() const {
-    return step_ns > 0.0 ? ns_per_site * sites_per_step / step_ns : 0.0;
-  }
-};
-
-/// Measures the disabled-CritPath overhead of `spec` on the GPU backend:
-/// (1) times the null-collector branch differentially inside a modeled
-/// phase-boundary sequence, (2) counts the sites one step hits from an
-/// enabled run's accumulator (per rank: one PhaseClock branch per phase,
-/// one begin_step branch, one backend per-step hook), (3) times a
-/// critpath-off run.  Both runs start from an all-off obs::Config.
-inline CritPathOverheadReport measure_critpath_overhead(
-    const harness::RunSpec& spec, int ranks) {
-  CritPathOverheadReport r;
-
-  {
-    // The disabled path in PhaseClock::begin_step/phase_end (and the
-    // backends' per-step hook) is exactly `if (crit_)` on a pointer member
-    // that stays null.  As with the checker/profiler/memscope probes above,
-    // the branch is timed differentially inside a modeled phase boundary
-    // and the minimum over repetitions rejects additive noise.
-    constexpr int kIters = 1 << 21;
-    constexpr int kReps = 5;
-    obs::CritPathCollector* volatile crit = nullptr;
-    std::vector<double> data(4096, 1.0);
-    std::uint64_t marks = 0;
-    double acc = 0.0;
-    const auto boundary_loop = [&](bool with_hook) {
-      const auto t0 = std::chrono::steady_clock::now();
-      for (int i = 0; i < kIters; ++i) {
-        const std::size_t idx = static_cast<std::size_t>(i) & 4095u;
-        if (idx >= data.size()) std::abort();
-        ++marks;
-        if (with_hook) {
-          obs::CritPathCollector* c = crit;
-          if (c != nullptr) c->add(0, 1.0);
-        }
-        acc += data[idx];
-      }
-      const auto t1 = std::chrono::steady_clock::now();
-      return std::chrono::duration<double, std::nano>(t1 - t0).count() /
-             kIters;
-    };
-    boundary_loop(false);  // warm-up
-    double best = 0.0;
-    for (int rep = 0; rep < kReps; ++rep) {
-      const double diff = boundary_loop(true) - boundary_loop(false);
-      if (rep == 0 || diff < best) best = diff;
-    }
-    if (acc < 0.0 || marks == 0) std::abort();
-    r.ns_per_site = best > 0.0 ? best : 0.0;
-  }
-
-  harness::RunSpec on = all_off(spec);
-  on.obs.critpath = true;
-  const obs::CritPathAccum analyzed = harness::run_gpu(on, ranks).critpath;
-  // Each rank pays one disabled branch per phase boundary plus one each for
-  // begin_step and the backend's per-step hook; the enabled run's
-  // accumulator knows the real rank/phase counts.
-  r.sites_per_step = static_cast<double>(analyzed.num_ranks()) *
-                     static_cast<double>(analyzed.num_phases() + 2);
-  r.step_ns = off_step_ns(spec, ranks);
-  return r;
-}
 
 }  // namespace simcov::bench

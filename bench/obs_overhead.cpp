@@ -1,124 +1,228 @@
-// Overhead gate for the observability layer (src/obs), the KernelCheck
-// analyzer (src/gpusim/check.hpp), and the KernelProf profiler
-// (src/obs/profile.hpp).
+// Overhead gate for the disabled instruments: the tracer and metrics
+// registry (src/obs/trace.hpp, metrics.hpp), the KernelCheck analyzer
+// (src/gpusim/check.hpp), the KernelProf profiler (src/obs/profile.hpp),
+// MemScope (src/obs/memscope.hpp) and CritPath (src/obs/critpath.hpp).
 //
-// Not a paper figure: an engineering check that the always-compiled tracer,
-// metrics registry, kernel-access check hooks, and profiler bind hooks stay
-// effectively free when disabled.  For each layer, the measured per-site
-// cost (one relaxed atomic load + branch for obs; one pointer load + branch
-// for KernelCheck accesses and KernelProf binds) times the number of sites
-// a real step hits must stay under 2% of the measured step wall time.  If a
-// check starts MISSing, either a site gained work on the disabled path or
-// sites multiplied faster than step cost.
+// Not a paper figure: an engineering check that the always-compiled
+// instruments stay effectively free when disabled.  Each row prices one
+// instrument's disabled path: the measured cost of one disabled site (one
+// relaxed atomic load + branch for obs; one pointer or flag branch for the
+// others) times the number of sites a real step hits, as a fraction of the
+// step wall time of one all-instruments-off run.  Every row must stay under
+// 2%.  If a row starts MISSing, either a site gained work on the disabled
+// path or sites multiplied faster than step cost.
 
+#include <array>
+#include <chrono>
 #include <cstdio>
+#include <cstdlib>
+#include <string>
+#include <vector>
 
 #include "bench_common.hpp"
 
-int main() {
-  using namespace simcov;
-  using namespace simcov::bench;
+namespace {
 
+using namespace simcov;
+using namespace simcov::bench;
+
+/// One instrument's disabled path: `name` opens its shape-check claim and
+/// `prefix` its metric names.
+struct Row {
+  std::string name;
+  std::string prefix;
+  double ns_per_site = 0.0;
+  double sites_per_step = 0.0;
+};
+
+constexpr int kIters = 1 << 21;
+
+double ns_per_iter(std::chrono::steady_clock::time_point t0) {
+  const auto t1 = std::chrono::steady_clock::now();
+  return std::chrono::duration<double, std::nano>(t1 - t0).count() / kIters;
+}
+
+/// Cost of one call of `hook(base, idx)` on its disabled path, timed
+/// differentially inside a modeled access shaped like GlobalSpan::read:
+/// bounds check, traffic counter bumped in memory, data load.  That is where
+/// the branch executes in the real code: out-of-order cores overlap a
+/// predicted-not-taken branch with the surrounding work, so timing it in an
+/// empty loop would overstate the cost ~10x.  The minimum over repetitions
+/// rejects timer and scheduler noise (noise is strictly additive here).  Out
+/// of line, so the loops' code placement depends on the probe alone, not on
+/// the rest of main.
+template <typename Hook>
+[[gnu::noinline]] double differential_ns(Hook hook) {
+  constexpr int kReps = 5;
+  std::array<double, 4096> data;
+  data.fill(1.0);
+  // Volatile keeps the bump a memory read-modify-write, as through
+  // GlobalSpan's counter pointer, instead of a register the compiler can
+  // fold away.
+  volatile std::uint64_t read_bytes = 0;
+  double acc = 0.0;
+  const auto loop = [&](bool with_hook) {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int i = 0; i < kIters; ++i) {
+      const std::size_t idx = static_cast<std::size_t>(i) & 4095u;
+      if (idx >= data.size()) std::abort();
+      read_bytes = read_bytes + sizeof(double);
+      if (with_hook) hook(data.data(), idx);
+      acc += data[idx];
+    }
+    return ns_per_iter(t0);
+  };
+  loop(false);  // warm-up
+  double best = 0.0;
+  for (int rep = 0; rep < kReps; ++rep) {
+    const double diff = loop(true) - loop(false);
+    if (rep == 0 || diff < best) best = diff;
+  }
+  // `acc` keeps the loops alive; fold it into the (never-taken) error path
+  // so the compiler cannot drop it.
+  if (acc < 0.0) std::abort();
+  return best > 0.0 ? best : 0.0;
+}
+
+}  // namespace
+
+int main() {
   Reporter rep("obs_overhead", "Observability overhead (collectors disabled)",
                "n/a (engineering gate, not a paper figure)",
                "gpu engine, 4 ranks, 96x96, 30 steps");
 
-  harness::RunSpec spec;
-  spec.params = bench_params(96, 96, 30, 2);
-  const ObsOverheadReport r = measure_obs_overhead(spec, 4);
+  constexpr int kRanks = 4;
+  harness::RunSpec off;
+  off.params = bench_params(96, 96, 30, 2);
+  off.obs = obs::Config{};  // every instrument off, whatever the env says
+  const auto steps = static_cast<double>(off.params.num_steps);
+  // A GPU run of `off` with the one instrument `on` switched on.
+  const auto run_with = [&](bool obs::Config::*on) {
+    harness::RunSpec spec = off;
+    spec.obs.*on = true;
+    return harness::run_gpu(spec, kRanks);
+  };
+  std::vector<Row> rows;
 
-  TextTable t({"quantity", "value"});
-  t.add_row({"disabled site cost (ns)", fmt(r.ns_per_site, 3)});
-  t.add_row({"sites per step", fmt(r.sites_per_step, 1)});
-  t.add_row({"step wall time (ms)", fmt(r.step_ns / 1e6, 3)});
-  t.add_row({"disabled overhead", fmt(r.overhead() * 100.0, 4) + "%"});
+  {
+    // Tracer + metrics: the contract is one relaxed atomic load + branch
+    // per span/metric site.  The relaxed enabled() load in the ScopedSpan
+    // constructor cannot be hoisted or deleted, so the loop body survives
+    // optimization.  Sites: one run with both collectors on (in memory, no
+    // output files) counts every span and datapoint a step produces.
+    obs::tracer().disable();
+    obs::metrics().disable();
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int i = 0; i < kIters; ++i) {
+      obs::ScopedSpan probe("obs_overhead_probe", 0);
+    }
+    const double ns = ns_per_iter(t0);
+    obs::tracer().enable("");
+    obs::metrics().enable("");
+    harness::run_gpu(off, kRanks);
+    const auto sites = static_cast<double>(obs::tracer().event_count() +
+                                           obs::tracer().dropped() +
+                                           obs::metrics().datapoint_count());
+    obs::tracer().disable();
+    obs::metrics().disable();
+    rows.push_back({"disabled-observability", "", ns, sites / steps});
+  }
+  {
+    // KernelCheck: `if (chk_)` on a pointer member in every GlobalSpan and
+    // shared-memory access.  Sites: the accesses a checked run validates.
+    gpusim::KernelChecker* volatile chk = nullptr;
+    const double ns = differential_ns([&](const double* base, std::size_t i) {
+      gpusim::KernelChecker* c = chk;
+      if (c != nullptr) {
+        c->on_global_access(base, i, gpusim::KernelChecker::Access::kRead);
+      }
+    });
+    const auto sites = static_cast<double>(
+        run_with(&obs::Config::kernel_check).check_accesses);
+    rows.push_back(
+        {"disabled-site kernel-check", "kernel_check_", ns, sites / steps});
+  }
+  {
+    // KernelProf: `if (ProfSlot* p = buf.prof_slot_)` once per GlobalSpan
+    // *bind* (ThreadCtx/BlockCtx::global), not per access.  Sites: the
+    // binds a profiled run routes through profiler slots.
+    obs::ProfSlot* volatile slot = nullptr;
+    const double ns = differential_ns([&](const double*, std::size_t) {
+      obs::ProfSlot* p = slot;
+      if (p != nullptr) ++p->binds;
+    });
+    const auto sites =
+        static_cast<double>(run_with(&obs::Config::profile).prof_binds);
+    rows.push_back({"disabled-profiler bind", "profile_", ns, sites / steps});
+  }
+  {
+    // MemScope: a bool cached from one relaxed memscope_on() load per step
+    // at each phase boundary, a null unique_ptr at each allocation event —
+    // never on the per-access path.  The flag is false for the whole probe
+    // (no MemScopeRun active), so this is the not-taken branch the contract
+    // prices.  Sites: every disabled-branch site fires exactly once in an
+    // enabled run — phase boundaries as RSS-sampler calls, allocation
+    // events as registry alloc/free counts.
+    std::uint64_t hits = 0;
+    const double ns = differential_ns([&](const double*, std::size_t) {
+      if (obs::memscope_on()) ++hits;
+    });
+    if (hits != 0) std::abort();
+    obs::rss_sampler().reset();
+    const obs::MemReport mem = run_with(&obs::Config::memscope).memory;
+    const auto sites = static_cast<double>(
+        obs::rss_sampler().calls() + mem.alloc_events + mem.free_events);
+    obs::rss_sampler().reset();
+    rows.push_back({"disabled-memscope", "memscope_", ns, sites / steps});
+  }
+  {
+    // CritPath: `if (crit_)` on a null collector pointer in
+    // PhaseClock::begin_step/phase_end and the step ledger's end of step;
+    // the gather itself only runs when critpath is on.  Sites per rank: one
+    // per phase boundary plus begin_step and the end-of-step hook; the
+    // enabled run's accumulator knows the real rank/phase counts.
+    obs::CritPathCollector* volatile crit = nullptr;
+    const double ns = differential_ns([&](const double*, std::size_t) {
+      obs::CritPathCollector* c = crit;
+      if (c != nullptr) c->add(0, 1.0);
+    });
+    const obs::CritPathAccum analyzed =
+        run_with(&obs::Config::critpath).critpath;
+    const double sites_per_step =
+        static_cast<double>(analyzed.num_ranks()) *
+        static_cast<double>(analyzed.num_phases() + 2);
+    rows.push_back({"disabled-critpath", "critpath_", ns, sites_per_step});
+  }
+
+  // One all-off run prices every row: the driver's own barrier-to-barrier
+  // step-loop wall, without construction, init or teardown.
+  const double step_ns =
+      harness::run_gpu(off, kRanks).step_loop_wall_s * 1e9 / steps;
+  std::printf("step wall time, all instruments off: %.3f ms\n",
+              step_ns / 1e6);
+  rep.metric("step_ns", step_ns);
+
+  TextTable t({"disabled path", "ns per site", "sites per step", "overhead"});
+  for (const Row& r : rows) {
+    const double overhead =
+        step_ns > 0.0 ? r.ns_per_site * r.sites_per_step / step_ns : 0.0;
+    t.add_row({r.name, fmt(r.ns_per_site, 3), fmt(r.sites_per_step, 1),
+               fmt(overhead * 100.0, 4) + "%"});
+    rep.shape_check(r.name + " overhead <= 2% of step time",
+                    overhead <= 0.02);
+    rep.metric(r.prefix + "ns_per_site", r.ns_per_site);
+    rep.metric(r.prefix + "sites_per_step", r.sites_per_step);
+    rep.metric(r.prefix + "disabled_overhead", overhead);
+  }
   std::printf("%s", t.to_string().c_str());
-
-  rep.shape_check("disabled-observability overhead <= 2% of step time",
-                  r.overhead() <= 0.02);
-  rep.metric("ns_per_site", r.ns_per_site);
-  rep.metric("sites_per_step", r.sites_per_step);
-  rep.metric("step_ns", r.step_ns);
-  rep.metric("disabled_overhead", r.overhead());
-
-  // Same gate for the KernelCheck hooks woven into every GlobalSpan and
-  // shared-memory access: a step executes orders of magnitude more access
-  // sites than span sites, so the disabled branch must be near-free.
-  const KernelCheckOverheadReport kc = measure_kernel_check_overhead(spec, 4);
-
-  TextTable kt({"quantity", "value"});
-  kt.add_row({"disabled check-site cost (ns)", fmt(kc.ns_per_site, 3)});
-  kt.add_row({"checked accesses per step", fmt(kc.sites_per_step, 1)});
-  kt.add_row({"step wall time (ms)", fmt(kc.step_ns / 1e6, 3)});
-  kt.add_row({"disabled overhead", fmt(kc.overhead() * 100.0, 4) + "%"});
-  std::printf("%s", kt.to_string().c_str());
-
-  rep.shape_check("disabled-site kernel-check overhead <= 2% of step time",
-                  kc.overhead() <= 0.02);
-  rep.metric("kernel_check_ns_per_site", kc.ns_per_site);
-  rep.metric("kernel_check_sites_per_step", kc.sites_per_step);
-  rep.metric("kernel_check_disabled_overhead", kc.overhead());
-
-  // Same gate for KernelProf: its off-path cost is one null-pointer branch
-  // per GlobalSpan *bind* (far fewer sites than KernelCheck's per-access
-  // hooks, since one bind covers a whole kernel's worth of accesses).
-  const ProfileOverheadReport kp = measure_profile_overhead(spec, 4);
-
-  TextTable pt({"quantity", "value"});
-  pt.add_row({"disabled bind-site cost (ns)", fmt(kp.ns_per_site, 3)});
-  pt.add_row({"span binds per step", fmt(kp.sites_per_step, 1)});
-  pt.add_row({"step wall time (ms)", fmt(kp.step_ns / 1e6, 3)});
-  pt.add_row({"disabled overhead", fmt(kp.overhead() * 100.0, 4) + "%"});
-  std::printf("%s", pt.to_string().c_str());
-
-  rep.shape_check("disabled-profiler bind overhead <= 2% of step time",
-                  kp.overhead() <= 0.02);
-  rep.metric("profile_ns_per_site", kp.ns_per_site);
-  rep.metric("profile_sites_per_step", kp.sites_per_step);
-  rep.metric("profile_disabled_overhead", kp.overhead());
-
-  // Same gate for MemScope: its off-path cost is one flag/null-pointer
-  // branch per allocation event and per phase boundary — there are no
-  // per-access or per-voxel sites at all, so this is the cheapest layer.
-  const MemScopeOverheadReport ms = measure_memscope_overhead(spec, 4);
-
-  TextTable mt({"quantity", "value"});
-  mt.add_row({"disabled mem-site cost (ns)", fmt(ms.ns_per_site, 3)});
-  mt.add_row({"mem sites per step", fmt(ms.sites_per_step, 1)});
-  mt.add_row({"step wall time (ms)", fmt(ms.step_ns / 1e6, 3)});
-  mt.add_row({"disabled overhead", fmt(ms.overhead() * 100.0, 4) + "%"});
-  std::printf("%s", mt.to_string().c_str());
-
-  rep.shape_check("disabled-memscope overhead <= 2% of step time",
-                  ms.overhead() <= 0.02);
-  rep.metric("memscope_ns_per_site", ms.ns_per_site);
-  rep.metric("memscope_sites_per_step", ms.sites_per_step);
-  rep.metric("memscope_disabled_overhead", ms.overhead());
-
-  // Same gate for CritPath: its off-path cost is one null-pointer branch
-  // per phase boundary and per step (the allgather only runs when it is
-  // on), so its site count is ranks * (phases + 2) — even cheaper than
-  // MemScope's allocation events.
-  const CritPathOverheadReport cp = measure_critpath_overhead(spec, 4);
-
-  TextTable ct({"quantity", "value"});
-  ct.add_row({"disabled crit-site cost (ns)", fmt(cp.ns_per_site, 3)});
-  ct.add_row({"crit sites per step", fmt(cp.sites_per_step, 1)});
-  ct.add_row({"step wall time (ms)", fmt(cp.step_ns / 1e6, 3)});
-  ct.add_row({"disabled overhead", fmt(cp.overhead() * 100.0, 4) + "%"});
-  std::printf("%s", ct.to_string().c_str());
-
-  rep.shape_check("disabled-critpath overhead <= 2% of step time",
-                  cp.overhead() <= 0.02);
-  rep.metric("critpath_ns_per_site", cp.ns_per_site);
-  rep.metric("critpath_sites_per_step", cp.sites_per_step);
-  rep.metric("critpath_disabled_overhead", cp.overhead());
 
   // One instrumented run of the same spec so this report also carries
   // measured/modeled drift, the comm matrix, the per-kernel roofline rows,
   // the per-buffer memory section, and the criticalpath section.
+  harness::RunSpec spec;
+  spec.params = off.params;
   spec.area_scale = kGpuAreaScale;
-  rep.run_gpu("instrumented gpu 4 ranks 96^2 x30", spec, 4);
+  rep.run_gpu("instrumented gpu 4 ranks 96^2 x30", spec, kRanks);
   rep.finish();
   return 0;
 }

@@ -36,8 +36,8 @@
 // are bit-identical with critpath on or off.
 //
 // Layering: this header is self-contained (no perfmodel dependency) so
-// PhaseClock and both backends can own collectors; phases are plain ints
-// (the backends pass perfmodel::Phase values).  The report/what-if side
+// PhaseClock and the SPMD step ledger can own collectors; phases are plain
+// ints (the ledger passes perfmodel::Phase values).  The report/what-if side
 // lives in critpath.cpp inside simcov_benchreport, mirroring memscope.
 
 #include <cstdint>
@@ -54,7 +54,7 @@ inline constexpr int kCritMaxPhases = 8;
 
 /// Per-rank, per-step phase-delta sink, fed by PhaseClock::phase_end when a
 /// collector is attached (see PhaseClock::set_critpath).  Owned by the
-/// backend rank object; touched only by its owning rank thread.
+/// rank's spmd::StepLedger; touched only by its owning rank thread.
 class CritPathCollector {
  public:
   void begin_step() {

@@ -1,10 +1,10 @@
 #pragma once
 // Wall-clock phase instrumentation for a bulk-synchronous rank loop.
 //
-// Both backends already mark the end of every timestep phase for the
-// performance model (record_phase); PhaseClock piggybacks on the same
-// points so the *measured* phases and the *modeled* phases share one enum
-// and one set of names (perfmodel::phase_name).  Per step it produces:
+// The SPMD step ledger (spmd/step_ledger.hpp) marks the end of every
+// timestep phase for the performance model; PhaseClock piggybacks on the
+// same points so the *measured* phases and the *modeled* phases share one
+// enum and one set of names (perfmodel::phase_name).  Per step it produces:
 //
 //   * one span per phase region on the rank's trace track, covering
 //     contiguously from the previous mark to now;
@@ -18,8 +18,8 @@
 // cadence at which registry totals should be reconciled against what the OS
 // charges, and the sampler's own stride keeps procfs reads rare.
 //
-// When a CritPathCollector is attached (set_critpath — the backends attach
-// one when critical-path analysis is on), every phase boundary additionally
+// When a CritPathCollector is attached (set_critpath — the step ledger
+// attaches one when critical-path analysis is on), every phase boundary additionally
 // deposits its wall delta into the collector, and the clock reads happen
 // even if the tracer and metrics are off: the critical-path gather needs
 // the deltas regardless of which exporters are enabled.
@@ -61,7 +61,7 @@ class PhaseClock {
   /// Closes the phase region that started at the previous mark (or at
   /// begin_step for the first phase).  `name` must be a static string;
   /// `phase_idx` (when >= 0) routes the delta to the critpath collector
-  /// (the backends pass the perfmodel::Phase value).
+  /// (the step ledger passes the perfmodel::Phase value).
   void phase_end(const char* name, int phase_idx = -1) {
     if (mem_) rss_sampler().sample_phase();
     if (!trace_ && !metrics_ && crit_ == nullptr) return;
@@ -77,16 +77,18 @@ class PhaseClock {
     mark_ = t;
   }
 
-  /// Closes the enclosing step span.
-  void end_step() {
-    if (!trace_ && !metrics_ && crit_ == nullptr) return;
-    const Nanos t = now_ns();
-    if (trace_) tracer().record("step", track_, step_start_, t);
+  /// Closes the enclosing step span at the last phase boundary, so the
+  /// step span is exactly its phases.  Returns that time, or 0 when the
+  /// clock is off (no reads were taken).
+  Nanos end_step() {
+    if (!trace_ && !metrics_ && crit_ == nullptr) return 0;
+    if (trace_) tracer().record("step", track_, step_start_, mark_);
     if (metrics_) {
       metrics().add("step.wall_ns", track_,
-                    static_cast<double>(t - step_start_));
+                    static_cast<double>(mark_ - step_start_));
     }
-    step_end_ = t;
+    step_end_ = mark_;
+    return step_end_;
   }
 
   /// Step window of the last begin_step/end_step pair (the critical-path

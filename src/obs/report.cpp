@@ -3,7 +3,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <fstream>
 #include <sstream>
@@ -85,29 +84,26 @@ void BenchReport::add_metric(const std::string& name, double value) {
 }
 
 std::vector<DriftRow> BenchReport::drift_from(
-    const std::map<std::string, std::map<int, double>>& counters,
-    const perfmodel::RunCost& cost) {
-  // Per-phase measured seconds: the PhaseClock counters are wall ns per
-  // (phase, rank); summing over ranks weights each phase by total rank-time,
-  // matching the bulk-synchronous cost fold's sum-over-phases structure.
-  std::array<double, perfmodel::kNumPhases> measured{};
+    const std::map<std::string, double>& measured_by_phase_s,
+    const std::map<std::string, double>& modeled_by_phase_s) {
+  const auto seconds = [](const std::map<std::string, double>& by_phase,
+                          int p) {
+    const auto it =
+        by_phase.find(perfmodel::phase_name(static_cast<perfmodel::Phase>(p)));
+    return it == by_phase.end() ? 0.0 : it->second;
+  };
+  // Totals and rows both walk the canonical phase order, so neither the
+  // floating sums nor the row order depend on the maps' key order.
   double measured_total = 0.0;
   double modeled_total = 0.0;
   for (int p = 0; p < perfmodel::kNumPhases; ++p) {
-    const char* name = perfmodel::phase_name(static_cast<perfmodel::Phase>(p));
-    const auto it = counters.find(std::string("phase.") + name + ".wall_ns");
-    if (it != counters.end()) {
-      for (const auto& [rank, v] : it->second) {
-        measured[static_cast<std::size_t>(p)] += v / 1e9;
-      }
-    }
-    measured_total += measured[static_cast<std::size_t>(p)];
-    modeled_total += cost.by_phase[static_cast<std::size_t>(p)];
+    measured_total += seconds(measured_by_phase_s, p);
+    modeled_total += seconds(modeled_by_phase_s, p);
   }
   std::vector<DriftRow> rows;
   for (int p = 0; p < perfmodel::kNumPhases; ++p) {
-    const double m = measured[static_cast<std::size_t>(p)];
-    const double c = cost.by_phase[static_cast<std::size_t>(p)];
+    const double m = seconds(measured_by_phase_s, p);
+    const double c = seconds(modeled_by_phase_s, p);
     if (m == 0.0 && c == 0.0) continue;
     DriftRow row;
     row.phase = perfmodel::phase_name(static_cast<perfmodel::Phase>(p));
@@ -123,6 +119,9 @@ std::vector<DriftRow> BenchReport::drift_from(
 
 std::map<std::string, double> BenchReport::measured_phases_from(
     const std::map<std::string, std::map<int, double>>& counters) {
+  // The PhaseClock counters are wall ns per (phase, rank); summing over
+  // ranks weights each phase by total rank-time, matching the
+  // bulk-synchronous cost fold's sum-over-phases structure.
   std::map<std::string, double> out;
   for (int p = 0; p < perfmodel::kNumPhases; ++p) {
     const char* name = perfmodel::phase_name(static_cast<perfmodel::Phase>(p));

@@ -185,12 +185,13 @@ class BenchReport {
 
   // ---- builders for the pieces callers assemble a BenchConfig from -------
 
-  /// Per-phase drift from the "phase.<name>.wall_ns" counters (summed over
-  /// ranks) against a modeled RunCost.  Phases with neither measured nor
-  /// modeled time are omitted.
+  /// Per-phase drift of measured against modeled seconds (phase name ->
+  /// seconds, as measured_phases_from / modeled_phases_from build them),
+  /// in canonical phase order.  Phases with neither measured nor modeled
+  /// time are omitted.
   static std::vector<DriftRow> drift_from(
-      const std::map<std::string, std::map<int, double>>& counters,
-      const perfmodel::RunCost& cost);
+      const std::map<std::string, double>& measured_by_phase_s,
+      const std::map<std::string, double>& modeled_by_phase_s);
 
   /// Measured per-phase seconds (summed over ranks) from the PhaseClock
   /// counters.

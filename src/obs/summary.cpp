@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "obs/report.hpp"
 #include "util/error.hpp"
 #include "util/table.hpp"
 
@@ -98,34 +99,27 @@ void print_phase_breakdown(
 void print_drift_table(
     std::FILE* out, const std::map<std::string, double>& measured_by_phase_s,
     const std::map<std::string, double>& modeled_by_phase_s) {
-  double measured_total = 0.0, modeled_total = 0.0;
-  for (const auto& [k, v] : measured_by_phase_s) measured_total += v;
-  for (const auto& [k, v] : modeled_by_phase_s) modeled_total += v;
+  const std::vector<DriftRow> rows =
+      BenchReport::drift_from(measured_by_phase_s, modeled_by_phase_s);
   // A run can have one side only: a reference config has no model, a
   // modeled-only run may have metrics disabled.  Print what exists and
-  // "n/a" for shares whose total is zero — dividing by it would print
-  // inf/nan rows.
-  if (measured_total <= 0.0 && modeled_total <= 0.0) return;
-  const bool have_measured = measured_total > 0.0;
-  const bool have_modeled = modeled_total > 0.0;
+  // "n/a" for shares whose total is zero.
+  const bool have_measured =
+      std::any_of(rows.begin(), rows.end(),
+                  [](const DriftRow& r) { return r.measured_s > 0.0; });
+  const bool have_modeled =
+      std::any_of(rows.begin(), rows.end(),
+                  [](const DriftRow& r) { return r.modeled_s > 0.0; });
+  if (!have_measured && !have_modeled) return;
   TextTable t({"phase", "measured s", "share", "modeled s", "share",
                "divergence"});
-  // Walk phases in the perfmodel's canonical order so the table matches the
-  // phase-breakdown table.
-  for (int p = 0; p < perfmodel::kNumPhases; ++p) {
-    const char* name = perfmodel::phase_name(static_cast<perfmodel::Phase>(p));
-    const double m =
-        measured_by_phase_s.count(name) ? measured_by_phase_s.at(name) : 0.0;
-    const double c =
-        modeled_by_phase_s.count(name) ? modeled_by_phase_s.at(name) : 0.0;
-    if (m == 0.0 && c == 0.0) continue;
-    const double ms = have_measured ? m / measured_total : 0.0;
-    const double cs = have_modeled ? c / modeled_total : 0.0;
-    t.add_row({name, fmt(m, 4),
-               have_measured ? fmt(ms * 100.0, 1) + "%" : "n/a", fmt(c, 4),
-               have_modeled ? fmt(cs * 100.0, 1) + "%" : "n/a",
+  for (const DriftRow& r : rows) {
+    t.add_row({r.phase, fmt(r.measured_s, 4),
+               have_measured ? fmt(r.measured_share * 100.0, 1) + "%" : "n/a",
+               fmt(r.modeled_s, 4),
+               have_modeled ? fmt(r.modeled_share * 100.0, 1) + "%" : "n/a",
                have_measured && have_modeled
-                   ? fmt((ms - cs) * 100.0, 1) + " pp"
+                   ? fmt(r.divergence * 100.0, 1) + " pp"
                    : "n/a"});
   }
   std::fprintf(out,

@@ -12,7 +12,6 @@
 #include "core/stencil.hpp"
 #include "obs/memscope.hpp"
 #include "obs/metrics.hpp"
-#include "obs/phase_clock.hpp"
 #include "obs/trace.hpp"
 #include "pgas/runtime.hpp"
 #include "perfmodel/mem_model.hpp"
@@ -59,15 +58,13 @@ class CpuRank {
  public:
   CpuRank(pgas::Rank& rank, const SimParams& params, const Decomposition& dec,
           const std::vector<VoxelId>& foi,
-          const std::vector<VoxelId>& empties,
-          const perfmodel::CostModel& model, Registry& registry,
-          bool critpath)
+          const std::vector<VoxelId>& empties, spmd::StepLedger& ledger,
+          Registry& registry)
       : rank_(rank), params_(params),
         grid_(params.dim_x, params.dim_y, params.dim_z),
         sub_(dec.sub(rank.id())), rng_(params.seed), registry_(registry),
-        cost_log_(model), pclock_(rank.id()), crit_(critpath) {
+        ledger_(ledger) {
     registry_[static_cast<std::size_t>(rank.id())] = this;
-    if (crit_) pclock_.set_critpath(&crit_collect_);
     // 2D or 3D: the rank decomposition cuts x/y and keeps z whole (like
     // the original SIMCoV-CPU's 2D decomposition of a 3D volume), so all
     // cross-rank interactions stay on x/y faces; z neighbours are local.
@@ -168,13 +165,10 @@ class CpuRank {
     std::sort(active_list_.begin(), active_list_.end());
   }
 
-  void step() {
-    close_tail();
+  StepStats step() {
     StepStats stats;
-    const bool emit_metrics = obs::metrics().enabled();
-    if (emit_metrics) step_comm_snapshot_ = rank_.stats();
-    pclock_.begin_step();
-    snapshot_counters();
+    work_ = {};
+    step_voxel_updates_ = 0;
     phase_tcells(stats);
     record_phase(perfmodel::Phase::kTCells);
     phase_epithelial();
@@ -187,24 +181,9 @@ class CpuRank {
     record_phase(perfmodel::Phase::kHalo);
     phase_reduce(stats);
     record_phase(perfmodel::Phase::kReduceStats);
-    pclock_.end_step();
-    tail_mark_ = obs::now_ns();
-    if (crit_) critpath_step();
-    if (emit_metrics) emit_step_metrics();
-    cost_log_.end_step();
-    history_.push_back(stats);
+    if (obs::metrics().enabled()) emit_step_metrics();
     ++step_;
-  }
-
-  /// Closes an open untimed-tail interval: step-loop host work outside the
-  /// phase spans, including the critpath gather; folded with MIN over ranks
-  /// so barrier wait inside the gather is not charged (mirrors the GPU
-  /// backend).  The run loop calls this once more after the last step,
-  /// before the closing barrier.
-  void close_tail() {
-    if (tail_mark_ == 0) return;
-    tail_ns_ += static_cast<std::uint64_t>(obs::now_ns() - tail_mark_);
-    tail_mark_ = 0;
+    return stats;
   }
 
   std::uint64_t local_digest() const {
@@ -222,23 +201,12 @@ class CpuRank {
     return d;
   }
 
-  const TimeSeries& history() const { return history_; }
-  /// CritPath accumulator (steps() == 0 when critpath is off).
-  const obs::CritPathAccum& critpath_accum() const { return crit_accum_; }
-
   /// Everything this rank measured, for the SPMD driver's merge.
   spmd::RankReport report() {
     spmd::RankReport rep;
-    rep.cost_log = &cost_log_;
-    rep.tail_ns = tail_ns_;
-    // MemScope: this rank's host-side registry (grids + channels), with the
-    // RPC queue's high-water mark charged as a gauge at harvest time (the
-    // queue is mutated by sender threads, so it is not accounted per
-    // enqueue).
-    if (obs::MemScope* pm = rank_.memscope()) {
-      pm->gauge_peak("pgas.rpc_queue",
-                     rank_.rpc_queue_peak() * sizeof(std::function<void()>));
-      rep.memory = pm->report();
+    // MemScope: this rank's grids live in the PGAS rank's registry, which
+    // the driver harvests; only the modeled side is backend-specific.
+    if (rank_.memscope() != nullptr) {
       perfmodel::CpuRankMemShape shape;
       shape.w = w_;
       shape.h = h_;
@@ -829,19 +797,12 @@ class CpuRank {
   }
 
   // ---- cost accounting ---------------------------------------------------------
-  void snapshot_counters() {
-    comm_snapshot_ = rank_.stats();
-    work_ = {};
-    step_voxel_updates_ = 0;
-  }
-
+  /// Marks the end of `phase` on the step ledger with this rank's
+  /// functional work since the previous mark.
   void record_phase(perfmodel::Phase phase) {
     perfmodel::WorkSample sample;
-    sample.comm = rank_.stats().since(comm_snapshot_);
     sample.cpu_voxel_updates = work_.cpu_voxel_updates;
     sample.cpu_list_ops = work_.cpu_list_ops;
-    cost_log_.add(phase, sample);
-    comm_snapshot_ = rank_.stats();
     step_voxel_updates_ += work_.cpu_voxel_updates;
     if (obs::metrics().enabled() && work_.cpu_voxel_updates > 0) {
       // KernelProf parity counter: the CPU backend has no kernels, but each
@@ -853,55 +814,17 @@ class CpuRank {
           static_cast<double>(work_.cpu_voxel_updates * kVoxelStateBytes));
     }
     work_ = {};
-    // The modeled phases double as the measured trace spans (one vocabulary
-    // for cost model, Perfetto track and the critpath collector).
-    pclock_.phase_end(perfmodel::phase_name(phase), static_cast<int>(phase));
+    ledger_.phase_end(phase, sample);
   }
 
-  /// End-of-step critical-path gather and analysis (obs/critpath.hpp), the
-  /// exact mirror of the GPU backend's: all ranks exchange phase deltas +
-  /// barrier-wait delta through the observability-only collective path and
-  /// run the identical deterministic analysis.
-  void critpath_step() {
-    constexpr int kP = perfmodel::kNumPhases;
-    constexpr int kStride = obs::crit_payload_doubles(kP);
-    const int world = rank_.world_size();
-    double payload[kStride];
-    for (int p = 0; p < kP; ++p) payload[p] = crit_collect_.phase_ns(p);
-    const std::uint64_t wait = rank_.stats().barrier_wait_ns;
-    payload[kP] = static_cast<double>(wait - crit_wait_snapshot_);
-    crit_wait_snapshot_ = wait;
-    crit_gather_.resize(static_cast<std::size_t>(world) * kStride);
-    rank_.obs_allgather(std::span<const double>(payload, kStride),
-                        crit_gather_);
-    const obs::CritPathAccum::StepInfo info =
-        crit_accum_.step(crit_gather_, world, kP);
-    if (info.binding_rank == rank_.id() && obs::tracer().enabled()) {
-      obs::TraceEvent ev{"critical_path", rank_.id(), pclock_.step_start(),
-                         pclock_.step_end()};
-      ev.add_arg("step", static_cast<double>(step_));
-      ev.add_arg("work_ns", info.work_ns);
-      ev.add_arg("wait_ns", info.wait_ns);
-      obs::tracer().record(ev);
-    }
-    if (rank_.id() == 0 && obs::metrics().enabled()) {
-      obs::metrics().step_value("critpath.binding_rank", 0, step_,
-                                static_cast<double>(info.binding_rank));
-      obs::metrics().step_value("critpath.critical_ns", 0, step_,
-                                info.critical_ns);
-    }
-  }
-
-  /// Per-step metric series: halo traffic, RPC volume, barrier skew, and
-  /// the active-list working set.
+  /// Per-step metric series: halo traffic, RPC volume and the active-list
+  /// working set (the ledger adds the barrier skew).
   void emit_step_metrics() {
     auto& m = obs::metrics();
     const int r = rank_.id();
-    const pgas::CommStats d = rank_.stats().since(step_comm_snapshot_);
+    const pgas::CommStats d = ledger_.step_comm();
     m.step_value("cpu.halo_bytes", r, step_, static_cast<double>(d.put_bytes));
     m.step_value("cpu.rpcs", r, step_, static_cast<double>(d.rpcs_sent));
-    m.step_value("pgas.barrier_wait_ns", r, step_,
-                 static_cast<double>(d.barrier_wait_ns));
     m.step_value("cpu.active_voxels", r, step_,
                  static_cast<double>(active_list_.size()));
     m.step_value("cpu.voxels_touched", r, step_,
@@ -926,6 +849,7 @@ class CpuRank {
   Subdomain sub_;
   CounterRng rng_;
   Registry& registry_;
+  spmd::StepLedger& ledger_;
 
   std::int32_t w_ = 0, h_ = 0, dz_ = 1, pw_ = 0, plane_ = 0;
   std::uint64_t step_ = 0;
@@ -957,18 +881,6 @@ class CpuRank {
 
   std::array<std::uint64_t, kNumEpiStates> epi_counts_{};
 
-  TimeSeries history_;
-  perfmodel::RankCostLog cost_log_;
-  obs::PhaseClock pclock_;
-  bool crit_ = false;
-  obs::CritPathCollector crit_collect_;
-  obs::CritPathAccum crit_accum_;
-  std::vector<double> crit_gather_;
-  std::uint64_t crit_wait_snapshot_ = 0;
-  obs::Nanos tail_mark_ = 0;
-  std::uint64_t tail_ns_ = 0;
-  pgas::CommStats comm_snapshot_;
-  pgas::CommStats step_comm_snapshot_;
   WorkCounters work_;
   std::uint64_t step_voxel_updates_ = 0;
 };
@@ -983,9 +895,8 @@ CpuRunResult run_cpu_sim(const SimParams& params,
   return spmd::run_spmd(
       params, options, perfmodel::Backend::kCpu,
       [&](pgas::Rank& rank, const Decomposition& dec,
-          const perfmodel::CostModel& model) {
-        return CpuRank(rank, params, dec, foi, empty_voxels, model, registry,
-                       options.obs.critpath);
+          spmd::StepLedger& ledger) {
+        return CpuRank(rank, params, dec, foi, empty_voxels, ledger, registry);
       });
 }
 

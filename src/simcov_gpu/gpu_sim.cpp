@@ -11,7 +11,6 @@
 #include "core/stencil.hpp"
 #include "gpusim/gpusim.hpp"
 #include "obs/metrics.hpp"
-#include "obs/phase_clock.hpp"
 #include "obs/trace.hpp"
 #include "pgas/runtime.hpp"
 #include "perfmodel/mem_model.hpp"
@@ -67,7 +66,7 @@ class GpuRank {
   GpuRank(pgas::Rank& rank, const SimParams& params, const Decomposition& dec,
           const std::vector<VoxelId>& foi,
           const std::vector<VoxelId>& empties, const GpuSimOptions& options,
-          const perfmodel::CostModel& model)
+          spmd::StepLedger& ledger)
       : rank_(rank), params_(params),
         grid_(params.dim_x, params.dim_y, params.dim_z),
         sub_(dec.sub(rank.id())), rng_(params.seed), variant_(options.variant),
@@ -78,7 +77,7 @@ class GpuRank {
         // the rank's report and the SPMD driver throws after the join.
         dev_(rank.id(), gpusim::DeviceOptions{.obs = options.obs,
                                               .defer_check_report = true}),
-        model_(&model), cost_log_(model), pclock_(rank.id()),
+        ledger_(ledger),
         // Device allocations: full padded layout per field.
         epi_state_(dev_, lay_.size(),
                    static_cast<std::uint8_t>(EpiState::kEmpty), "epi_state"),
@@ -113,8 +112,6 @@ class GpuRank {
     h_ = sub_.extent.y;
     // Tree reduction needs a power-of-two block.
     reduce_block_ = std::bit_floor(static_cast<unsigned>(params_.block_dim));
-    crit_ = options.obs.critpath;
-    if (crit_) pclock_.set_critpath(&crit_collect_);
 
     upload_initial_state(foi, empties);
     register_channels();
@@ -135,13 +132,9 @@ class GpuRank {
     }
   }
 
-  void step() {
-    close_tail();
+  StepStats step() {
     StepStats stats;
-    const bool emit_metrics = obs::metrics().enabled();
-    if (emit_metrics) step_comm_snapshot_ = rank_.stats();
-    pclock_.begin_step();
-    snapshot_counters();
+    dev_snapshot_ = dev_.stats();
 
     // ---- T cell kernels (Fig. 2) ------------------------------------------
     k_clear_bids();
@@ -185,26 +178,9 @@ class GpuRank {
     reduce_stats(stats);
     record_phase(perfmodel::Phase::kReduceStats);
 
-    pclock_.end_step();
-    tail_mark_ = obs::now_ns();
-    if (crit_) critpath_step();
-    if (emit_metrics) emit_step_metrics();
-    cost_log_.end_step();
-    history_.push_back(stats);
+    if (obs::metrics().enabled()) emit_step_metrics();
     ++step_;
-  }
-
-  /// Closes an open untimed-tail interval: step-loop host work outside the
-  /// phase spans (the critpath gather and analysis, metric emission,
-  /// cost-log and history bookkeeping).  The gather's barrier wait is
-  /// included per rank, so the run folds tails with MIN over ranks — the
-  /// last-arriving rank waits ~nothing and its tail is the intrinsic cost.
-  /// The run loop calls this once more after the last step, before the
-  /// closing barrier.
-  void close_tail() {
-    if (tail_mark_ == 0) return;
-    tail_ns_ += static_cast<std::uint64_t>(obs::now_ns() - tail_mark_);
-    tail_mark_ = 0;
+    return stats;
   }
 
   std::uint64_t local_digest() {
@@ -232,15 +208,9 @@ class GpuRank {
     return d;
   }
 
-  const TimeSeries& history() const { return history_; }
-  /// CritPath accumulator (steps() == 0 when critpath is off).
-  const obs::CritPathAccum& critpath_accum() const { return crit_accum_; }
-
   /// Everything this rank measured, for the SPMD driver's merge.
   spmd::RankReport report() {
     spmd::RankReport rep;
-    rep.cost_log = &cost_log_;
-    rep.tail_ns = tail_ns_;
     rep.device = dev_.stats();
     if (const gpusim::KernelChecker* chk = dev_.checker()) {
       rep.check_accesses = chk->accesses_checked();
@@ -251,17 +221,9 @@ class GpuRank {
     if (const obs::KernelProf* p = dev_.profiler()) {
       rep.prof_binds = p->total_binds();
     }
-    // MemScope: the device registry plus the PGAS rank's host-side slots
-    // (channel landing zones, and the RPC queue's high-water mark charged
-    // here as a gauge — the queue is mutated by sender threads, so it is
-    // counted at harvest rather than per enqueue).
-    if (const obs::MemScope* dm = dev_.memscope()) rep.memory = dm->report();
-    if (obs::MemScope* pm = rank_.memscope()) {
-      pm->gauge_peak("pgas.rpc_queue",
-                     rank_.rpc_queue_peak() * sizeof(std::function<void()>));
-      obs::merge_mem_reports(rep.memory, pm->report());
-    }
-    if (!rep.memory.empty()) {
+    // MemScope: the device registry (the driver adds the PGAS rank's).
+    if (const obs::MemScope* dm = dev_.memscope()) {
+      rep.memory = dm->report();
       // Modeled bytes from the same geometry this rank allocates from.
       perfmodel::GpuRankMemShape shape;
       shape.w = w_;
@@ -1117,26 +1079,18 @@ class GpuRank {
   }
 
   // ---- cost accounting ------------------------------------------------------------
-  void snapshot_counters() {
-    comm_snapshot_ = rank_.stats();
-    dev_snapshot_ = dev_.stats();
-  }
-
+  /// Marks the end of `phase` on the step ledger with this device's work
+  /// since the previous mark; the phase's launches drain into KernelProf
+  /// first, so their cost stays inside the phase span.
   void record_phase(perfmodel::Phase phase) {
     perfmodel::WorkSample sample;
-    sample.comm = rank_.stats().since(comm_snapshot_);
     sample.dev = dev_.stats().since(dev_snapshot_);
     sample.mem_penalty = variant_.memory_tiling ? 1.0 : kUntiledMemPenalty;
-    cost_log_.add(phase, sample);
-    comm_snapshot_ = rank_.stats();
     dev_snapshot_ = dev_.stats();
     if (obs::KernelProf* prof = dev_.profiler()) {
       drain_profile(perfmodel::phase_name(phase), *prof, sample.mem_penalty);
     }
-    // The modeled phases double as the measured trace spans, so the
-    // Perfetto track and the cost model speak the same phase vocabulary
-    // (and the critpath collector indexes by the same enum).
-    pclock_.phase_end(perfmodel::phase_name(phase), static_cast<int>(phase));
+    ledger_.phase_end(phase, sample);
     if (obs::tracer().enabled()) {
       if (const obs::MemScope* ms = dev_.memscope()) {
         // Chrome counter sample ("ph":"C"): one point per phase boundary
@@ -1176,7 +1130,7 @@ class GpuRank {
       one.dev.global_write_bytes = rec.write_bytes;
       one.dev.atomic_ops = rec.atomic_ops;
       one.mem_penalty = mem_penalty;
-      ks.modeled_s = model_->price(one);
+      ks.modeled_s = ledger_.model().price(one);
       for (auto& [buf, traffic] : rec.buffers) {
         ks.by_buffer[buf] = traffic;
       }
@@ -1198,51 +1152,13 @@ class GpuRank {
     }
   }
 
-  /// End-of-step critical-path gather and analysis (obs/critpath.hpp): all
-  /// ranks exchange their phase deltas plus barrier-wait delta through the
-  /// observability-only collective path and run the identical deterministic
-  /// analysis, so each rank knows locally whether it bound this step.
-  void critpath_step() {
-    constexpr int kP = perfmodel::kNumPhases;
-    constexpr int kStride = obs::crit_payload_doubles(kP);
-    const int world = rank_.world_size();
-    double payload[kStride];
-    for (int p = 0; p < kP; ++p) payload[p] = crit_collect_.phase_ns(p);
-    const std::uint64_t wait = rank_.stats().barrier_wait_ns;
-    payload[kP] = static_cast<double>(wait - crit_wait_snapshot_);
-    crit_wait_snapshot_ = wait;
-    crit_gather_.resize(static_cast<std::size_t>(world) * kStride);
-    rank_.obs_allgather(std::span<const double>(payload, kStride),
-                        crit_gather_);
-    const obs::CritPathAccum::StepInfo info =
-        crit_accum_.step(crit_gather_, world, kP);
-    if (info.binding_rank == rank_.id() && obs::tracer().enabled()) {
-      // Flag the binding rank's step on its own track so Perfetto shows
-      // the chain of critical spans across ranks.
-      obs::TraceEvent ev{"critical_path", rank_.id(), pclock_.step_start(),
-                         pclock_.step_end()};
-      ev.add_arg("step", static_cast<double>(step_));
-      ev.add_arg("work_ns", info.work_ns);
-      ev.add_arg("wait_ns", info.wait_ns);
-      obs::tracer().record(ev);
-    }
-    if (rank_.id() == 0 && obs::metrics().enabled()) {
-      obs::metrics().step_value("critpath.binding_rank", 0, step_,
-                                static_cast<double>(info.binding_rank));
-      obs::metrics().step_value("critpath.critical_ns", 0, step_,
-                                info.critical_ns);
-    }
-  }
-
-  /// Per-step metric series (§3.2/§3.3 observability): halo traffic,
-  /// barrier skew, and the active-tile working set.
+  /// Per-step metric series (§3.2/§3.3 observability): halo traffic and
+  /// the active-tile working set (the ledger adds the barrier skew).
   void emit_step_metrics() {
     auto& m = obs::metrics();
     const int r = rank_.id();
-    const pgas::CommStats d = rank_.stats().since(step_comm_snapshot_);
-    m.step_value("gpu.halo_bytes", r, step_, static_cast<double>(d.put_bytes));
-    m.step_value("pgas.barrier_wait_ns", r, step_,
-                 static_cast<double>(d.barrier_wait_ns));
+    m.step_value("gpu.halo_bytes", r, step_,
+                 static_cast<double>(ledger_.step_comm().put_bytes));
     const double tiles = static_cast<double>(tiles_.active_count());
     const double total = static_cast<double>(lay_.num_tiles());
     m.step_value("gpu.active_tiles", r, step_, tiles);
@@ -1305,16 +1221,7 @@ class GpuRank {
   TiledLayout lay_;
   ActiveTileSet tiles_;
   Device dev_;
-  const perfmodel::CostModel* model_;
-  perfmodel::RankCostLog cost_log_;
-  obs::PhaseClock pclock_;
-  bool crit_ = false;
-  obs::CritPathCollector crit_collect_;
-  obs::CritPathAccum crit_accum_;
-  std::vector<double> crit_gather_;
-  std::uint64_t crit_wait_snapshot_ = 0;
-  obs::Nanos tail_mark_ = 0;
-  std::uint64_t tail_ns_ = 0;
+  spmd::StepLedger& ledger_;
   std::vector<obs::KernelStats> kprof_;
   std::uint64_t prof_launches_snapshot_ = 0;
   std::uint64_t prof_wall_snapshot_ = 0;
@@ -1350,9 +1257,6 @@ class GpuRank {
   DeviceBuffer<std::uint64_t> stage_u64_;
   DeviceBuffer<float> stage_f32_;
 
-  TimeSeries history_;
-  pgas::CommStats comm_snapshot_;
-  pgas::CommStats step_comm_snapshot_;
   gpusim::DeviceStats dev_snapshot_;
 };
 
@@ -1382,8 +1286,8 @@ GpuRunResult run_gpu_sim(const SimParams& params,
   return spmd::run_spmd(
       params, options, perfmodel::Backend::kGpu,
       [&](pgas::Rank& rank, const Decomposition& dec,
-          const perfmodel::CostModel& model) {
-        return GpuRank(rank, params, dec, foi, empty_voxels, options, model);
+          spmd::StepLedger& ledger) {
+        return GpuRank(rank, params, dec, foi, empty_voxels, options, ledger);
       });
 }
 

@@ -4,27 +4,30 @@
 // SIMCoV-CPU and SIMCoV-GPU compute one bit-identical simulation behind the
 // same bulk-synchronous program, so one driver runs both:
 //
-//   RunOptions --> run_spmd --(each rank)--> RankSim::report() = RankReport
+//   RunOptions --> run_spmd --(each rank)--> StepLedger + RankSim
+//                                            step loop: ledger.begin_step,
+//                                              sim.step (marks phases),
+//                                              ledger.end_step(stats)
+//                                            sim.report() = RankReport
 //                           --(after the join)--> merge --> RunResult
 //
-// Per rank, run_spmd builds the backend's rank simulation, checks that all
-// ranks hold the same parameter set (a broadcast digest), initializes,
-// runs the timed step loop (optionally recording the full-state digest
-// after each step), and harvests one RankReport.  Rank 0 folds the cost
-// logs while every simulation is still alive; after the join the reports
-// merge into one RunResult and any deferred rank error (a KernelCheck
-// report) is thrown as one aggregated simcov::Error.
+// Per rank, run_spmd creates the rank's StepLedger (spmd/step_ledger.hpp:
+// cost log, PhaseClock, CritPath, tail, history), builds the backend's rank
+// simulation around it, checks that all ranks hold the same parameter set
+// (a broadcast digest), initializes, runs the timed step loop (optionally
+// recording the full-state digest after each step), and harvests one
+// RankReport.  Rank 0 folds the cost logs while every ledger is still
+// alive; after the join the reports merge into one RunResult and any
+// deferred rank error (a KernelCheck report) is thrown as one aggregated
+// simcov::Error.
 //
 // A backend supplies its rank simulation through `make_rank(rank, dec,
-// model)`, which returns it by value (guaranteed elision: the type need not
-// be movable).  The simulation provides:
+// ledger)`, which returns it by value (guaranteed elision: the type need
+// not be movable).  The simulation provides:
 //
 //   void initialize();
-//   void step();
+//   StepStats step();               // marks each phase on the ledger
 //   std::uint64_t local_digest();   // owned-voxel digest, when recorded
-//   void close_tail();              // ends the last step's bookkeeping
-//   const TimeSeries& history() const;
-//   const obs::CritPathAccum& critpath_accum() const;
 //   RankReport report();
 //
 // The barrier and collective sequence is fixed here, so the communication
@@ -53,6 +56,7 @@
 #include "pgas/runtime.hpp"
 #include "perfmodel/cost_model.hpp"
 #include "perfmodel/machine.hpp"
+#include "spmd/step_ledger.hpp"
 #include "util/error.hpp"
 
 namespace simcov::spmd {
@@ -76,15 +80,13 @@ struct RunOptions {
 /// or empty when their instrument is off (and on the CPU backend, which
 /// has no device).
 struct RankReport {
-  /// Valid until run_spmd's final barrier (the simulation owns it).
-  const perfmodel::RankCostLog* cost_log = nullptr;
-  /// Step-loop host work outside the phase spans, ns (see close_tail).
-  std::uint64_t tail_ns = 0;
   gpusim::DeviceStats device;
   std::uint64_t check_accesses = 0;
   std::uint64_t check_violations = 0;
   std::vector<obs::KernelStats> kernel_profile;
   std::uint64_t prof_binds = 0;
+  /// The simulation's own MemScope registries (the device's, on the GPU);
+  /// run_spmd merges in the PGAS rank's registry.
   obs::MemReport memory;
   /// The memory model's prediction for this rank's sub-domain, by category
   /// (empty when memory accounting is off).
@@ -171,10 +173,15 @@ RunResult run_spmd(const SimParams& params, const RunOptions& options,
 
   pgas::Runtime rt(options.num_ranks, pgas::RuntimeOptions{options.obs});
   RunResult result;
-  std::vector<RankReport> reports(static_cast<std::size_t>(options.num_ranks));
+  const auto n = static_cast<std::size_t>(options.num_ranks);
+  std::vector<RankReport> reports(n);
+  std::vector<const perfmodel::RankCostLog*> logs(n);
+  std::vector<std::uint64_t> tails(n);
 
   rt.run([&](pgas::Rank& rank) {
-    auto sim = make_rank(rank, dec, model);
+    const auto me = static_cast<std::size_t>(rank.id());
+    StepLedger ledger(rank, model, options.obs.critpath);
+    auto sim = make_rank(rank, dec, ledger);
     // SPMD sanity: rank 0 broadcasts a digest of its parameter set and every
     // rank checks its own copy against it.  Setup traffic happens before the
     // first step's counter snapshot, so this stays outside the modeled
@@ -191,47 +198,56 @@ RunResult run_spmd(const SimParams& params, const RunOptions& options,
     const obs::Nanos loop_t0 = obs::now_ns();
     std::vector<std::uint64_t> digests;
     for (std::int64_t s = 0; s < params.num_steps; ++s) {
-      sim.step();
+      ledger.begin_step();
+      ledger.end_step(sim.step());
       if (options.record_digests) {
         digests.push_back(rank.allreduce_xor(sim.local_digest()));
       }
     }
-    sim.close_tail();  // final step's bookkeeping, before the barrier wait
+    ledger.close_tail();  // final step's tail, before the barrier wait
     rank.barrier();
     if (rank.id() == 0) {
       result.step_loop_wall_s =
           static_cast<double>(obs::now_ns() - loop_t0) / 1e9;
-      result.history = sim.history();
+      result.history = ledger.history();
       result.digests = std::move(digests);
       // Every rank's accumulator is identical (deterministic analysis of
       // the same gathered payloads); harvest rank 0's.
-      result.critpath = sim.critpath_accum();
+      result.critpath = ledger.critpath();
     }
-    reports[static_cast<std::size_t>(rank.id())] = sim.report();
+    RankReport rep = sim.report();
+    if (obs::MemScope* pm = rank.memscope()) {
+      // The PGAS rank's host-side slots (channel landing zones, the CPU
+      // backend's grids), plus the RPC queue's high-water mark charged as
+      // a gauge — the queue is mutated by sender threads, so it is counted
+      // at harvest rather than per enqueue.
+      pm->gauge_peak("pgas.rpc_queue",
+                     rank.rpc_queue_peak() * sizeof(std::function<void()>));
+      obs::merge_mem_reports(rep.memory, pm->report());
+    }
+    reports[me] = std::move(rep);
+    logs[me] = &ledger.cost_log();
+    tails[me] = ledger.tail_ns();
     rank.barrier();
     if (rank.id() == 0) {
-      std::vector<const perfmodel::RankCostLog*> logs;
-      for (const RankReport& r : reports) logs.push_back(r.cost_log);
       result.cost =
           perfmodel::fold(std::span<const perfmodel::RankCostLog* const>(logs));
     }
-    rank.barrier();  // keep all sims alive until the fold completes
+    rank.barrier();  // keep all ledgers alive until the fold completes
   });
 
-  std::uint64_t min_tail = reports.front().tail_ns;
   std::string errors;
-  for (std::size_t r = 0; r < reports.size(); ++r) {
-    const RankReport& rep = reports[r];
-    min_tail = std::min(min_tail, rep.tail_ns);
-    result.merge(rep);
-    if (!rep.error.empty()) {
-      errors += "\nrank " + std::to_string(r) + ": " + rep.error;
+  for (std::size_t r = 0; r < n; ++r) {
+    result.merge(reports[r]);
+    if (!reports[r].error.empty()) {
+      errors += "\nrank " + std::to_string(r) + ": " + reports[r].error;
     }
   }
   // Deferred reporting: all ranks have joined, so one aggregated Error is
   // safe to throw.
   if (!errors.empty()) throw Error("SPMD run failed" + errors);
-  result.step_tail_s = static_cast<double>(min_tail) / 1e9;
+  result.step_tail_s =
+      static_cast<double>(*std::min_element(tails.begin(), tails.end())) / 1e9;
   for (int r = 0; r < options.num_ranks; ++r) {
     result.comm_by_rank.push_back(rt.rank_stats(r));
   }

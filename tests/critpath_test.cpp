@@ -264,6 +264,27 @@ TEST(CritPathRuns, CpuDigestsBitIdenticalWithCritpathOnOrOff) {
   EXPECT_EQ(r_on.digests, r_off.digests);
   EXPECT_EQ(r_off.critpath.steps(), 0u);
   EXPECT_EQ(r_on.critpath.steps(), static_cast<std::uint64_t>(p.num_steps));
+  EXPECT_EQ(r_on.critpath.num_ranks(), 4);
+  // The gather is observability-only: comm counters (RPCs included) are
+  // untouched.
+  ASSERT_EQ(r_on.comm_by_rank.size(), r_off.comm_by_rank.size());
+  for (std::size_t i = 0; i < r_on.comm_by_rank.size(); ++i) {
+    EXPECT_EQ(r_on.comm_by_rank[i].reductions, r_off.comm_by_rank[i].reductions);
+    EXPECT_EQ(r_on.comm_by_rank[i].put_bytes, r_off.comm_by_rank[i].put_bytes);
+    EXPECT_EQ(r_on.comm_by_rank[i].rpcs_sent, r_off.comm_by_rank[i].rpcs_sent);
+  }
+  // Every step bound some rank, and the phase decomposition tiles the path.
+  std::uint64_t bound = 0;
+  for (int rank = 0; rank < r_on.critpath.num_ranks(); ++rank) {
+    bound += r_on.critpath.binds(rank);
+  }
+  EXPECT_EQ(bound, r_on.critpath.steps());
+  double phase_crit = 0.0;
+  for (int ph = 0; ph < r_on.critpath.num_phases(); ++ph) {
+    phase_crit += r_on.critpath.crit_phase_ns(ph);
+  }
+  EXPECT_NEAR(phase_crit, r_on.critpath.critical_ns(),
+              1e-6 * r_on.critpath.critical_ns());
 }
 
 TEST(CritPathRuns, CriticalPathPlusTailReconcilesWithStepLoopWall) {

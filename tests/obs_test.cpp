@@ -749,15 +749,17 @@ TEST(BenchReport, EmitsSchemaValidJsonWithConsistentCommMatrix) {
 }
 
 TEST(BenchReport, DriftRowsComputedFromPhaseCounters) {
-  // drift_from sums the per-rank PhaseClock counters and compares shares
-  // against the modeled per-phase costs.
+  // The per-rank PhaseClock counters sum into measured seconds per phase;
+  // drift_from compares their shares against the modeled per-phase costs.
   std::map<std::string, std::map<int, double>> counters;
   counters["phase.halo.wall_ns"] = {{0, 1e9}, {1, 1e9}};      // 2 s measured
   counters["phase.t_cells.wall_ns"] = {{0, 3e9}, {1, 3e9}};   // 6 s measured
   perfmodel::RunCost cost{};
   cost.by_phase[static_cast<int>(perfmodel::Phase::kHalo)] = 1.0;
   cost.by_phase[static_cast<int>(perfmodel::Phase::kTCells)] = 1.0;
-  const auto rows = obs::BenchReport::drift_from(counters, cost);
+  const auto rows = obs::BenchReport::drift_from(
+      obs::BenchReport::measured_phases_from(counters),
+      obs::BenchReport::modeled_phases_from(cost));
   ASSERT_EQ(rows.size(), 2u);
   // Rows come back in canonical phase order: t_cells before halo.
   EXPECT_EQ(rows[0].phase, "t_cells");
