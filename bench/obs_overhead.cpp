@@ -12,7 +12,6 @@
 // 2%.  If a row starts MISSing, either a site gained work on the disabled
 // path or sites multiplied faster than step cost.
 
-#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -37,40 +36,39 @@ struct Row {
 
 constexpr int kIters = 1 << 21;
 
-double ns_per_iter(std::chrono::steady_clock::time_point t0) {
+double ns_per_iter(std::chrono::steady_clock::time_point t0, int iters) {
   const auto t1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::nano>(t1 - t0).count() / kIters;
+  return std::chrono::duration<double, std::nano>(t1 - t0).count() / iters;
 }
 
 /// Cost of one call of `hook(base, idx)` on its disabled path, timed
-/// differentially inside a modeled access shaped like GlobalSpan::read:
-/// bounds check, traffic counter bumped in memory, data load.  That is where
-/// the branch executes in the real code: out-of-order cores overlap a
-/// predicted-not-taken branch with the surrounding work, so timing it in an
-/// empty loop would overstate the cost ~10x.  The minimum over repetitions
-/// rejects timer and scheduler noise (noise is strictly additive here).  Out
-/// of line, so the loops' code placement depends on the probe alone, not on
-/// the rest of main.
+/// differentially inside a modeled accessor (bounds check + stats bump + the
+/// data access), because that is where the branch actually executes:
+/// out-of-order cores overlap a predicted-not-taken branch with the
+/// surrounding work, so timing it in an empty loop would overstate the cost
+/// ~10x.  The minimum over repetitions rejects timer and scheduler noise
+/// (noise is strictly additive here).  Co-runners on a shared host slow the
+/// loops in bursts of a few milliseconds, so the kIters x 5 iterations per
+/// loop are spread over 40 short repetitions: a burst spoils some of them,
+/// not all.  Out of line, one instantiation per probe, so each probe's loops
+/// are laid out on their own.
 template <typename Hook>
 [[gnu::noinline]] double differential_ns(Hook hook) {
-  constexpr int kReps = 5;
-  std::array<double, 4096> data;
-  data.fill(1.0);
-  // Volatile keeps the bump a memory read-modify-write, as through
-  // GlobalSpan's counter pointer, instead of a register the compiler can
-  // fold away.
-  volatile std::uint64_t read_bytes = 0;
+  constexpr int kReps = 40;
+  constexpr int kRepIters = kIters * 5 / kReps;
+  std::vector<double> data(4096, 1.0);
+  std::uint64_t reads = 0;
   double acc = 0.0;
   const auto loop = [&](bool with_hook) {
     const auto t0 = std::chrono::steady_clock::now();
-    for (int i = 0; i < kIters; ++i) {
+    for (int i = 0; i < kRepIters; ++i) {
       const std::size_t idx = static_cast<std::size_t>(i) & 4095u;
       if (idx >= data.size()) std::abort();
-      read_bytes = read_bytes + sizeof(double);
+      ++reads;
       if (with_hook) hook(data.data(), idx);
       acc += data[idx];
     }
-    return ns_per_iter(t0);
+    return ns_per_iter(t0, kRepIters);
   };
   loop(false);  // warm-up
   double best = 0.0;
@@ -78,9 +76,9 @@ template <typename Hook>
     const double diff = loop(true) - loop(false);
     if (rep == 0 || diff < best) best = diff;
   }
-  // `acc` keeps the loops alive; fold it into the (never-taken) error path
-  // so the compiler cannot drop it.
-  if (acc < 0.0) std::abort();
+  // `acc`/`reads` keep the loops alive; fold them into the (never-taken)
+  // error path so the compiler cannot drop them.
+  if (acc < 0.0 || reads == 0) std::abort();
   return best > 0.0 ? best : 0.0;
 }
 
@@ -116,7 +114,7 @@ int main() {
     for (int i = 0; i < kIters; ++i) {
       obs::ScopedSpan probe("obs_overhead_probe", 0);
     }
-    const double ns = ns_per_iter(t0);
+    const double ns = ns_per_iter(t0, kIters);
     obs::tracer().enable("");
     obs::metrics().enable("");
     harness::run_gpu(off, kRanks);

@@ -63,10 +63,8 @@ class StepLedger {
   /// counters and starts the phase clock.
   void begin_step() {
     close_tail();
-    metrics_ = obs::metrics().enabled();
-    if (metrics_) step_comm_snapshot_ = rank_.stats();
     clock_.begin_step();
-    comm_snapshot_ = rank_.stats();
+    step_comm_snapshot_ = comm_snapshot_ = rank_.stats();
   }
 
   /// Closes `phase`: `sample` carries the backend's work since the previous
@@ -83,7 +81,7 @@ class StepLedger {
   }
 
   /// Comm counters accumulated since begin_step, for the backends' own
-  /// per-step series (only meaningful while metrics are enabled).
+  /// per-step series.
   pgas::CommStats step_comm() const {
     return rank_.stats().since(step_comm_snapshot_);
   }
@@ -95,7 +93,7 @@ class StepLedger {
     const obs::Nanos step_end = clock_.end_step();
     tail_mark_ = step_end != 0 ? step_end : obs::now_ns();
     if (critpath_) gather_critpath();
-    if (metrics_) {
+    if (obs::metrics().enabled()) {
       obs::metrics().step_value(
           "pgas.barrier_wait_ns", rank_.id(), step(),
           static_cast<double>(step_comm().barrier_wait_ns));
@@ -162,7 +160,6 @@ class StepLedger {
   perfmodel::RankCostLog cost_log_;
   obs::PhaseClock clock_;
   bool critpath_;
-  bool metrics_ = false;
   obs::CritPathCollector collect_;
   obs::CritPathAccum accum_;
   std::vector<double> gather_;
