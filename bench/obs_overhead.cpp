@@ -142,8 +142,10 @@ int main() {
   }
   {
     // KernelProf: `if (ProfSlot* p = buf.prof_slot_)` once per GlobalSpan
-    // *bind* (ThreadCtx/BlockCtx::global), not per access.  Sites: the
-    // binds a profiled run routes through profiler slots.
+    // *bind* (Device::bind), not per access.  The kernels bind their
+    // buffers as launch arguments, so a bind is one buffer argument of one
+    // launch, not one per thread.  Sites: the binds a profiled run routes
+    // through profiler slots.
     obs::ProfSlot* volatile slot = nullptr;
     const double ns = differential_ns([&](const double*, std::size_t) {
       obs::ProfSlot* p = slot;

@@ -151,8 +151,7 @@ class DeviceBuffer {
   }
 
  private:
-  friend class ThreadCtx;
-  friend class BlockCtx;
+  friend class Device;
 
   /// Shared by the destructor and move-assignment: returns this buffer's
   /// bytes to the device and releases every registry entry, using the
@@ -187,8 +186,8 @@ class DeviceBuffer {
   /// aligned vector loads, and TiledLayout pads strides on the same
   /// util::kFieldAlignBytes unit so every tile row inherits the alignment.
   util::aligned_vector<T> storage_;
-  /// KernelProf per-buffer counter slot (null when profiling is off); the
-  /// launch contexts route GlobalSpan counter pointers here so every access
+  /// KernelProf per-buffer counter slot (null when profiling is off);
+  /// Device::bind routes GlobalSpan counter pointers here so every access
   /// is attributed to this buffer at no added per-access cost.
   obs::ProfSlot* prof_slot_ = nullptr;
   /// MemScope registry slot (null when accounting is off).

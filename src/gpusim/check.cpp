@@ -70,13 +70,14 @@ void KernelChecker::begin_launch(const char* name, std::uint32_t grid_dim,
   block_dim_ = block_dim;
   ++launch_seq_;  // stale shadow cells from earlier launches now self-reset
   ++launches_checked_;
+  in_launch_ = true;
   launch_first_violation_ = violations_.size();
   pos_ = Who{};
 }
 
 void KernelChecker::end_launch() {
   exemptions_.clear();
-  kernel_name_ = nullptr;
+  in_launch_ = false;
   if (violations_.size() == launch_first_violation_) return;
   if (opts_.defer_report) return;
   std::ostringstream os;
@@ -199,6 +200,7 @@ std::vector<KernelChecker::Cell>& KernelChecker::shadow_for(const void* buf,
 
 void KernelChecker::on_global_access(const void* buf, std::size_t elem,
                                      Access kind) {
+  if (!in_launch_) return record_stale_span(buf, elem);
   if (replay_ || !opts_.check_access) return;
   ++accesses_checked_;
   check_cell(shadow_for(buf, /*shared=*/false), elem, kind, buf,
@@ -207,6 +209,7 @@ void KernelChecker::on_global_access(const void* buf, std::size_t elem,
 
 void KernelChecker::on_global_range(const void* buf, std::size_t first,
                                     std::size_t n, Access kind) {
+  if (!in_launch_) return record_stale_span(buf, first);
   if (replay_ || !opts_.check_access || n == 0) return;
   accesses_checked_ += n;
   std::vector<Cell>& shadow = shadow_for(buf, /*shared=*/false);
@@ -295,6 +298,13 @@ void KernelChecker::check_cell(std::vector<Cell>& shadow, std::size_t elem,
       cell.has_atomic = 1;
       break;
   }
+}
+
+void KernelChecker::record_stale_span(const void* buf, std::size_t elem) {
+  std::ostringstream os;
+  os << buffer_label(buf, /*shared=*/false) << " element " << elem
+     << " accessed after the launch that bound it ended";
+  record_violation("stale span", os.str());
 }
 
 void KernelChecker::record_violation(const std::string& rule,

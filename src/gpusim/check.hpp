@@ -26,6 +26,8 @@
 //       - atomic-plain mix      an atomic and a plain access to one
 //                               element (the plain side is not atomic on
 //                               real hardware)
+//     A GlobalSpan accessed while no launch is active — one kept past
+//     the launch that bound it — is reported as a stale-span access.
 //     Shared-memory conflicts are the same rules scoped to the block and
 //     reported as phase violations — a same-phase conflict means the
 //     kernel relies on for_each_thread's sequential order standing in
@@ -200,6 +202,7 @@ class KernelChecker {
   static bool ordered(const Who& earlier, const Who& later);
   void check_cell(std::vector<Cell>& shadow, std::size_t elem, Access kind,
                   const void* buf, bool shared);
+  void record_stale_span(const void* buf, std::size_t elem);
   void record_violation(const std::string& rule, const std::string& detail);
   std::string buffer_label(const void* buf, bool shared) const;
   std::string launch_label() const;
@@ -220,7 +223,8 @@ class KernelChecker {
   };
   std::vector<Exemption> exemptions_;  ///< next-launch scope
 
-  // Current launch + position.
+  // Current (or, between launches, last) launch + position.
+  bool in_launch_ = false;
   const char* kernel_name_ = nullptr;
   std::uint32_t grid_dim_ = 0, block_dim_ = 0;
   std::uint64_t launch_seq_ = 0;

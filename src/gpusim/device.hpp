@@ -14,8 +14,12 @@
 // Discipline enforced at runtime (tests in tests/gpusim_test.cpp):
 //   * Host code cannot touch device memory except through explicit
 //     copy_to_host / copy_from_host, and only while no kernel is active.
-//   * Kernels access buffers only through GlobalSpan views obtained from
-//     their thread/block context, and only buffers of the same device.
+//   * Kernels access buffers only through GlobalSpan views — bound once
+//     per launch from the launch's buffer arguments, or from the
+//     thread/block context — and only buffers of the same device.
+//   * A launch runs its threads in canonical order (blocks ascending,
+//     threads ascending) as plain nested loops; the flat, permuted loop
+//     exists only for KernelCheck's replays.
 //   * Shared memory exists per block, is zero-initialized at block start,
 //     and phases separated by sync() see each other's writes (the
 //     __syncthreads model; threads within a phase run sequentially, which
@@ -28,6 +32,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <tuple>
 #include <vector>
 
 #include "gpusim/check.hpp"
@@ -111,6 +116,8 @@ struct DeviceOptions {
 
 template <typename T>
 class DeviceBuffer;
+template <typename T>
+class GlobalSpan;
 class ThreadCtx;
 class BlockCtx;
 
@@ -155,16 +162,26 @@ class Device {
   obs::MemScope* memscope() { return mem_.get(); }
   const obs::MemScope* memscope() const { return mem_.get(); }
 
-  /// Launches a data-parallel kernel: `body(ThreadCtx&)` runs once per
-  /// thread.  Threads must be independent (no shared memory); use
+  /// Launches a data-parallel kernel: `body(ThreadCtx&, spans...)` runs
+  /// once per thread.  Threads must be independent (no shared memory); use
   /// launch_blocks for cooperative kernels.
-  template <typename F>
-  void parallel_for(const LaunchConfig& cfg, F&& body);
+  ///
+  /// The trailing buffers are the kernel's pointer arguments: each is bound
+  /// to a GlobalSpan<T> once for the whole launch, the way a CUDA launch
+  /// passes device pointers, and every thread receives the same spans
+  /// after its context.  The device check (a foreign buffer throws here,
+  /// at launch) and the KernelProf slot routing therefore run once per
+  /// launch, not once per thread; the per-access hooks are unchanged.
+  template <typename F, typename... Ts>
+  void parallel_for(const LaunchConfig& cfg, F&& body,
+                    DeviceBuffer<Ts>&... args);
 
-  /// Launches a cooperative kernel: `body(BlockCtx&)` runs once per block
-  /// and drives its threads in phases (see BlockCtx::for_each_thread).
-  template <typename F>
-  void launch_blocks(const LaunchConfig& cfg, F&& body);
+  /// Launches a cooperative kernel: `body(BlockCtx&, spans...)` runs once
+  /// per block and drives its threads in phases (see
+  /// BlockCtx::for_each_thread).  Buffer arguments bind as in parallel_for.
+  template <typename F, typename... Ts>
+  void launch_blocks(const LaunchConfig& cfg, F&& body,
+                     DeviceBuffer<Ts>&... args);
 
  private:
   template <typename T>
@@ -201,25 +218,26 @@ class Device {
   }
   void end_kernel() { --kernel_depth_; }
 
-  /// Position k of the outer iteration (flat thread index for
-  /// parallel_for, block index for launch_blocks) under the active order.
+  /// The single GlobalSpan factory: checks that `buf` lives on this
+  /// device and points the span's traffic counters at the buffer's
+  /// KernelProf slot, or at the DeviceStats aggregates when profiling is
+  /// off.  Launches call it once per buffer argument; ThreadCtx::global and
+  /// BlockCtx::global forward to it.
+  template <typename T>
+  GlobalSpan<T> bind(DeviceBuffer<T>& buf);
+
+  /// Replay schedules only (the canonical order runs as plain nested
+  /// loops): position k of the outer iteration (flat thread index for
+  /// parallel_for, block index for launch_blocks).
   std::uint64_t sched_flat(std::uint64_t k, std::uint64_t n) const {
-    switch (order_) {
-      case Order::kReversed: return n - 1 - k;
-      case Order::kShuffled: return flat_perm_[k];
-      case Order::kCanonical: break;
-    }
-    return k;
+    return order_ == Order::kReversed ? n - 1 - k : flat_perm_[k];
   }
-  /// Thread index at position k of a cooperative block's for_each_thread.
+  /// Replay schedules only: thread index at position k of a cooperative
+  /// block's for_each_thread.
   std::uint32_t thread_order(std::uint32_t k, std::uint32_t bd) const {
-    switch (order_) {
-      case Order::kReversed: return bd - 1 - k;
-      case Order::kShuffled:
-        return static_cast<std::uint32_t>(thread_perm_[k]);
-      case Order::kCanonical: break;
-    }
-    return k;
+    return order_ == Order::kReversed
+               ? bd - 1 - k
+               : static_cast<std::uint32_t>(thread_perm_[k]);
   }
   void set_order(Order o, const LaunchConfig& cfg, bool cooperative) {
     order_ = o;
@@ -325,44 +343,66 @@ void Device::run_with_permutations(const LaunchConfig& cfg, bool cooperative,
   checker_->note_launch_permuted();
 }
 
-template <typename F>
-void Device::parallel_for(const LaunchConfig& cfg, F&& body) {
+template <typename F, typename... Ts>
+void Device::parallel_for(const LaunchConfig& cfg, F&& body,
+                          DeviceBuffer<Ts>&... args) {
   begin_kernel(cfg);
   struct Guard {
     Device* d;
     ~Guard() { d->end_kernel(); }
   } guard{this};
+  const std::tuple<GlobalSpan<Ts>...> spans{bind(args)...};
+  const auto thread = [&](std::uint32_t b, std::uint32_t t) {
+    ThreadCtx ctx(*this, cfg, b, t);
+    std::apply([&](const GlobalSpan<Ts>&... s) { body(ctx, s...); }, spans);
+  };
   auto exec = [&] {
-    const std::uint64_t n = cfg.total_threads();
-    for (std::uint64_t k = 0; k < n; ++k) {
-      const std::uint64_t idx = sched_flat(k, n);
-      const auto b = static_cast<std::uint32_t>(idx / cfg.block_dim);
-      const auto t = static_cast<std::uint32_t>(idx % cfg.block_dim);
-      if (t == 0) ++stats_.blocks_executed;
-      ++stats_.threads_executed;
-      if (checker_) checker_->at_thread(b, t);
-      ThreadCtx ctx(*this, cfg, b, t);
-      body(ctx);
+    KernelChecker* const chk = checker_.get();
+    if (order_ == Order::kCanonical) {
+      for (std::uint32_t b = 0; b < cfg.grid_dim; ++b) {
+        for (std::uint32_t t = 0; t < cfg.block_dim; ++t) {
+          if (chk) chk->at_thread(b, t);
+          thread(b, t);
+        }
+      }
+    } else {
+      // KernelCheck replay: the flat thread index under the permuted
+      // schedule, split into (block, thread).
+      const std::uint64_t n = cfg.total_threads();
+      for (std::uint64_t k = 0; k < n; ++k) {
+        const std::uint64_t idx = sched_flat(k, n);
+        const auto b = static_cast<std::uint32_t>(idx / cfg.block_dim);
+        const auto t = static_cast<std::uint32_t>(idx % cfg.block_dim);
+        chk->at_thread(b, t);
+        thread(b, t);
+      }
     }
+    stats_.blocks_executed += cfg.grid_dim;
+    stats_.threads_executed += cfg.total_threads();
   };
   run_launch(cfg, /*cooperative=*/false, exec);
 }
 
-template <typename F>
-void Device::launch_blocks(const LaunchConfig& cfg, F&& body) {
+template <typename F, typename... Ts>
+void Device::launch_blocks(const LaunchConfig& cfg, F&& body,
+                           DeviceBuffer<Ts>&... args) {
   begin_kernel(cfg);
   struct Guard {
     Device* d;
     ~Guard() { d->end_kernel(); }
   } guard{this};
+  const std::tuple<GlobalSpan<Ts>...> spans{bind(args)...};
   auto exec = [&] {
     for (std::uint32_t k = 0; k < cfg.grid_dim; ++k) {
-      const auto b = static_cast<std::uint32_t>(sched_flat(k, cfg.grid_dim));
-      ++stats_.blocks_executed;
+      const std::uint32_t b =
+          order_ == Order::kCanonical
+              ? k
+              : static_cast<std::uint32_t>(sched_flat(k, cfg.grid_dim));
       if (checker_) checker_->begin_block(b);
       BlockCtx ctx(*this, cfg, b);
-      body(ctx);
+      std::apply([&](const GlobalSpan<Ts>&... s) { body(ctx, s...); }, spans);
     }
+    stats_.blocks_executed += cfg.grid_dim;
   };
   run_launch(cfg, /*cooperative=*/true, exec);
 }

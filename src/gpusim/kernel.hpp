@@ -21,11 +21,12 @@
 //
 // The same choke point carries KernelProf (obs/profile.hpp): the byte and
 // atomic counters a GlobalSpan increments are plain pointers supplied at
-// bind time (ThreadCtx/BlockCtx::global), so when profiling is enabled the
-// contexts point them at per-buffer profiler slots instead of the
-// DeviceStats aggregates.  Per-buffer attribution therefore costs nothing
-// per access — the increment was always indirect — and exactly one extra
-// null-pointer branch per buffer bind.
+// bind time (Device::bind, reached through a launch's buffer arguments or
+// ThreadCtx/BlockCtx::global), so when profiling is enabled the span points
+// them at per-buffer profiler slots instead of the DeviceStats aggregates.
+// Per-buffer attribution therefore costs nothing per access — the
+// increment was always indirect — and exactly one extra null-pointer
+// branch per buffer bind, which for launch arguments is once per launch.
 
 #include <cstddef>
 #include <cstdint>
@@ -43,7 +44,9 @@ struct DeviceStats;
 template <typename T>
 class DeviceBuffer;
 
-/// Kernel-side mutable view of a DeviceBuffer.  Cheap to copy.
+/// Kernel-side mutable view of a DeviceBuffer.  Cheap to copy.  Valid for
+/// the launch that bound it; KernelCheck reports an access made after that
+/// launch ended.
 template <typename T>
 class GlobalSpan {
  public:
@@ -113,8 +116,7 @@ class GlobalSpan {
   }
 
  private:
-  friend class ThreadCtx;
-  friend class BlockCtx;
+  friend class Device;
   GlobalSpan(T* data, std::size_t size, std::uint64_t* rd, std::uint64_t* wr,
              std::uint64_t* at, KernelChecker* chk)
       : data_(data), size_(size), read_bytes_(rd), write_bytes_(wr),
@@ -197,7 +199,9 @@ class ThreadCtx {
     return static_cast<std::uint64_t>(grid_dim_) * block_dim_;
   }
 
-  /// Binds a device buffer for kernel-side access.
+  /// Binds a device buffer for kernel-side access from inside the thread
+  /// (one bind per call; kernels normally take their buffers as launch
+  /// arguments instead, see Device::parallel_for).
   template <typename T>
   GlobalSpan<T> global(DeviceBuffer<T>& buf) const;
 
@@ -230,14 +234,15 @@ class BlockCtx {
   void for_each_thread(F&& fn) {
     sync_boundary();
     for (std::uint32_t k = 0; k < block_dim_; ++k) {
-      std::uint32_t t = thread_at(k);
-      note_thread(t);
+      const std::uint32_t t = replay_ ? thread_at(k) : k;
+      if (chk_) chk_->at_block_thread(t);
       fn(t);
     }
     sync_boundary();
     bump_threads(block_dim_);
   }
 
+  /// Binds a device buffer from inside the block (see ThreadCtx::global).
   template <typename T>
   GlobalSpan<T> global(DeviceBuffer<T>& buf) const;
 
@@ -246,10 +251,11 @@ class BlockCtx {
   BlockCtx(Device& d, const LaunchConfig& cfg, std::uint32_t b);
   void bump_threads(std::uint32_t n);
   void sync_boundary();               ///< implicit __syncthreads
-  std::uint32_t thread_at(std::uint32_t k) const;  ///< schedule mapping
-  void note_thread(std::uint32_t t);  ///< checker position update
+  std::uint32_t thread_at(std::uint32_t k) const;  ///< replay schedule
 
   Device* device_;
+  KernelChecker* chk_;  ///< the device's checker, or nullptr
+  bool replay_;         ///< a KernelCheck replay (non-canonical order)
   std::uint32_t block_idx_, block_dim_, grid_dim_;
   std::vector<std::unique_ptr<std::vector<std::byte>>> shared_allocs_;
 };

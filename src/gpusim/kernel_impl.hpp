@@ -14,8 +14,8 @@ inline ThreadCtx::ThreadCtx(Device& d, const LaunchConfig& cfg,
       grid_dim_(cfg.grid_dim) {}
 
 template <typename T>
-GlobalSpan<T> ThreadCtx::global(DeviceBuffer<T>& buf) const {
-  SIMCOV_REQUIRE(&buf.device() == device_,
+GlobalSpan<T> Device::bind(DeviceBuffer<T>& buf) {
+  SIMCOV_REQUIRE(&buf.device() == this,
                  "kernel bound a buffer from a different device");
   // KernelProf substitution: when the buffer carries a profiler slot, the
   // span's counter pointers target the slot instead of the DeviceStats
@@ -25,33 +25,33 @@ GlobalSpan<T> ThreadCtx::global(DeviceBuffer<T>& buf) const {
   if (obs::ProfSlot* p = buf.prof_slot_) {
     ++p->binds;
     return GlobalSpan<T>(buf.raw(), buf.size(), &p->read_bytes,
-                         &p->write_bytes, &p->atomic_ops,
-                         device_->checker());
+                         &p->write_bytes, &p->atomic_ops, checker());
   }
-  DeviceStats& s = device_->stats();
-  return GlobalSpan<T>(buf.raw(), buf.size(), &s.global_read_bytes,
-                       &s.global_write_bytes, &s.atomic_ops,
-                       device_->checker());
+  return GlobalSpan<T>(buf.raw(), buf.size(), &stats_.global_read_bytes,
+                       &stats_.global_write_bytes, &stats_.atomic_ops,
+                       checker());
+}
+
+template <typename T>
+GlobalSpan<T> ThreadCtx::global(DeviceBuffer<T>& buf) const {
+  return device_->bind(buf);
 }
 
 inline BlockCtx::BlockCtx(Device& d, const LaunchConfig& cfg, std::uint32_t b)
-    : device_(&d), block_idx_(b), block_dim_(cfg.block_dim),
-      grid_dim_(cfg.grid_dim) {}
+    : device_(&d), chk_(d.checker()),
+      replay_(d.order_ != Device::Order::kCanonical), block_idx_(b),
+      block_dim_(cfg.block_dim), grid_dim_(cfg.grid_dim) {}
 
 inline void BlockCtx::bump_threads(std::uint32_t n) {
   device_->stats().threads_executed += n;
 }
 
 inline void BlockCtx::sync_boundary() {
-  if (KernelChecker* chk = device_->checker()) chk->enter_phase();
+  if (chk_) chk_->enter_phase();
 }
 
 inline std::uint32_t BlockCtx::thread_at(std::uint32_t k) const {
   return device_->thread_order(k, block_dim_);
-}
-
-inline void BlockCtx::note_thread(std::uint32_t t) {
-  if (KernelChecker* chk = device_->checker()) chk->at_block_thread(t);
 }
 
 template <typename T>
@@ -68,24 +68,12 @@ SharedSpan<T> BlockCtx::shared(std::size_t count) {
       std::make_unique<std::vector<std::byte>>(bytes, std::byte{0}));
   device_->stats().shared_bytes_allocated += bytes;
   return SharedSpan<T>(reinterpret_cast<T*>(shared_allocs_.back()->data()),
-                       count, device_->checker());
+                       count, chk_);
 }
 
 template <typename T>
 GlobalSpan<T> BlockCtx::global(DeviceBuffer<T>& buf) const {
-  SIMCOV_REQUIRE(&buf.device() == device_,
-                 "kernel bound a buffer from a different device");
-  // Same KernelProf counter substitution as ThreadCtx::global.
-  if (obs::ProfSlot* p = buf.prof_slot_) {
-    ++p->binds;
-    return GlobalSpan<T>(buf.raw(), buf.size(), &p->read_bytes,
-                         &p->write_bytes, &p->atomic_ops,
-                         device_->checker());
-  }
-  DeviceStats& s = device_->stats();
-  return GlobalSpan<T>(buf.raw(), buf.size(), &s.global_read_bytes,
-                       &s.global_write_bytes, &s.atomic_ops,
-                       device_->checker());
+  return device_->bind(buf);
 }
 
 }  // namespace simcov::gpusim

@@ -54,8 +54,9 @@ struct BufferTraffic {
 };
 
 /// One registered DeviceBuffer's live counters.  GlobalSpans constructed
-/// while profiling is on increment these (via pointers bound at
-/// ThreadCtx/BlockCtx::global time) instead of the DeviceStats aggregates.
+/// while profiling is on increment these (via pointers bound by
+/// gpusim::Device::bind, once per launch argument) instead of the
+/// DeviceStats aggregates.
 /// Slots live in a deque so their addresses are stable for the lifetime of
 /// any span bound to them.
 struct ProfSlot {

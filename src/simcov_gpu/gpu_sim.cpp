@@ -355,7 +355,8 @@ class GpuRank {
       if (nb < 0) continue;
       const std::size_t len = face_len(f);
       // Pack kernel: strip -> staging.
-      dev_.parallel_for(linear_launch(len, "halo_pack"), [&, f, len](auto& t) {
+      dev_.parallel_for(linear_launch(len, "halo_pack"),
+                        [&, f, len](auto& t, const auto& src, const auto& dst) {
         const std::uint64_t i = t.global_index();
         if (i >= len) return;
         std::int32_t x, y;
@@ -364,10 +365,8 @@ class GpuRank {
         } else {
           ghost_xy(f, static_cast<std::uint32_t>(i), x, y);
         }
-        auto src = t.global(buf);
-        auto dst = t.global(stg);
         dst.write(i, src.read(lay_.index(x, y)));
-      });
+      }, buf, stg);
       host[static_cast<std::size_t>(f)].resize(len);
       stg.copy_to_host(std::span<T>(host[static_cast<std::size_t>(f)].data(), len));
       rank_.put(nb, channel_of(opposite(f), payload),
@@ -385,7 +384,7 @@ class GpuRank {
       stg.copy_from_host(std::span<const T>(recv.data(), len));
       // Unpack kernel: staging -> receive-side strip.
       dev_.parallel_for(linear_launch(len, "halo_unpack"),
-                        [&, f, len](auto& t) {
+                        [&, f, len](auto& t, const auto& src, const auto& dst) {
         const std::uint64_t i = t.global_index();
         if (i >= len) return;
         std::int32_t x, y;
@@ -394,8 +393,6 @@ class GpuRank {
         } else {
           boundary_xy(f, static_cast<std::uint32_t>(i), x, y);
         }
-        auto src = t.global(stg);
-        auto dst = t.global(buf);
         const std::uint32_t slot = lay_.index(x, y);
         if (mode == MergeMode::kMax) {
           const T mine = dst.read(slot);
@@ -404,7 +401,7 @@ class GpuRank {
         } else {
           dst.write(slot, src.read(i));
         }
-      });
+      }, stg, buf);
     }
     rank_.barrier();
   }
@@ -444,100 +441,111 @@ class GpuRank {
   }
 
   // ---- kernels -------------------------------------------------------------------
-  /// Runs `body(x, y, slot)` for every interior voxel of every active tile.
-  /// One thread per tile voxel (slots_per_tile, not tile_stride: the stride
-  /// padding never gets a thread); slots are tile_stride-based so they land
-  /// in the padded storage.
-  template <typename F>
-  void for_active_voxels(const char* name, F&& body) {
+  // Every kernel takes its buffers as launch arguments (Device::parallel_for):
+  // each is bound to a GlobalSpan once per launch and handed to every thread
+  // after the thread's own parameters, in argument order.
+
+  /// Runs `body(x, y, slot, spans...)` for every interior voxel of every
+  /// active tile, with `spans` bound from `args`.  One thread per tile voxel
+  /// (slots_per_tile, not tile_stride: the stride padding never gets a
+  /// thread); slots are tile_stride-based so they land in the padded
+  /// storage.  The thread index fits in 32 bits (it is below
+  /// interior_slots()), so it splits over the active list divide-free.
+  template <typename F, typename... Ts>
+  void for_active_voxels(const char* name, F&& body,
+                         DeviceBuffer<Ts>&... args) {
     const auto& list = tiles_.active_list();
     if (list.empty()) return;
-    const std::uint32_t spt =
-        static_cast<std::uint32_t>(lay_.slots_per_tile());
+    const Reciprocal spt = lay_.slots_per_tile_div();
     const std::uint32_t ts = lay_.tile_stride();
-    const std::uint64_t items = list.size() * spt;
-    dev_.parallel_for(tile_launch(name), [&, items, spt, ts](auto& t) {
+    const std::uint64_t items = list.size() * spt.divisor();
+    dev_.parallel_for(tile_launch(name), [&, items, spt, ts](
+                          auto& t, const auto& tiles, const auto&... spans) {
       const std::uint64_t i = t.global_index();
       if (i >= items) return;
-      auto tiles_view = t.global(active_tiles_dev_);
-      const std::uint32_t tile = tiles_view.read(i / spt);
-      const std::uint32_t slot = tile * ts + static_cast<std::uint32_t>(i % spt);
+      const std::uint32_t k = spt.div(static_cast<std::uint32_t>(i));
+      const std::uint32_t in = static_cast<std::uint32_t>(i) - k * spt.divisor();
+      const std::uint32_t tile = tiles.read(k);
       std::int32_t x, y;
-      lay_.slot_to_xy(slot, x, y);
+      lay_.tile_voxel_xy(tile, in, x, y);
       if (x >= w_ || y >= h_) return;  // tile padding
-      body(t, x, y, slot);
-    });
+      body(x, y, tile * ts + in, spans...);
+    }, active_tiles_dev_, args...);
   }
 
-  /// Runs `body(t, tile_id, iy, x0, y, n, row_base)` once per in-domain row
-  /// of every active tile: the vectorized concentrations sweep is one
-  /// thread per (active tile, tile row), and each thread processes its
-  /// row's `n` voxels with contiguous block accesses feeding the
-  /// auto-vectorized row kernels (core/stencil.hpp).  `row_base` is the
+  /// Runs `body(tile_id, iy, x0, y, n, row_base, spans...)` once per
+  /// in-domain row of every active tile: the vectorized concentrations
+  /// sweep is one thread per (active tile, tile row), and each thread
+  /// processes its row's `n` voxels with contiguous block accesses feeding
+  /// the auto-vectorized row kernels (core/stencil.hpp).  `row_base` is the
   /// slot of the row's first voxel; rows of one tile are `tile_side` slots
   /// apart inside the tile's tile_stride()-slot block.
-  template <typename F>
-  void for_active_rows(const char* name, F&& body) {
+  template <typename F, typename... Ts>
+  void for_active_rows(const char* name, F&& body, DeviceBuffer<Ts>&... args) {
     const auto& list = tiles_.active_list();
     if (list.empty()) return;
-    const auto tile = static_cast<std::uint32_t>(lay_.tile_side());
+    const Reciprocal side = lay_.tile_side_div();
+    const std::uint32_t tile = side.divisor();
     const std::uint32_t ts = lay_.tile_stride();
-    const auto tiles_x = static_cast<std::uint32_t>(lay_.tiles_x());
     const std::uint64_t items = list.size() * tile;
-    dev_.parallel_for(linear_launch(items, name),
-                      [&, items, tile, ts, tiles_x](auto& t) {
+    dev_.parallel_for(linear_launch(items, name), [&, items, side, tile, ts](
+                          auto& t, const auto& tiles, const auto&... spans) {
       const std::uint64_t i = t.global_index();
       if (i >= items) return;
-      auto tiles_view = t.global(active_tiles_dev_);
-      const std::uint32_t tile_id = tiles_view.read(i / tile);
-      const auto iy = static_cast<std::uint32_t>(i % tile);
-      const auto tx = static_cast<std::int32_t>(tile_id % tiles_x);
-      const auto ty = static_cast<std::int32_t>(tile_id / tiles_x);
-      const std::int32_t y =
-          ty * static_cast<std::int32_t>(tile) + static_cast<std::int32_t>(iy);
+      const std::uint32_t k = side.div(static_cast<std::uint32_t>(i));
+      const std::uint32_t tile_id = tiles.read(k);
+      const std::uint32_t iy = static_cast<std::uint32_t>(i) - k * tile;
+      std::int32_t x0, y;
+      lay_.tile_voxel_xy(tile_id, iy * tile, x0, y);
       if (y >= h_) return;  // y padding rows of edge tiles
-      const std::int32_t x0 = tx * static_cast<std::int32_t>(tile);
       const std::int32_t n =
           std::min(static_cast<std::int32_t>(tile), w_ - x0);
       const std::uint32_t row_base = tile_id * ts + iy * tile;
-      body(t, tile_id, iy, x0, y, n, row_base);
-    });
+      body(tile_id, iy, x0, y, n, row_base, spans...);
+    }, active_tiles_dev_, args...);
+  }
+
+  /// Runs `body(slot, spans...)` for every ghost slot (the ghost region is
+  /// a contiguous suffix of the layout).
+  template <typename F, typename... Ts>
+  void for_ghost_slots(const char* name, F&& body, DeviceBuffer<Ts>&... args) {
+    const std::uint32_t base = lay_.interior_slots();
+    const std::uint64_t n = lay_.size() - base;
+    dev_.parallel_for(linear_launch(n, name),
+                      [&, base, n](auto& t, const auto&... spans) {
+      const std::uint64_t i = t.global_index();
+      if (i >= n) return;
+      body(base + static_cast<std::uint32_t>(i), spans...);
+    }, args...);
   }
 
   void k_clear_bids() {
-    for_active_voxels("k_clear_bids", [&](auto& t, std::int32_t, std::int32_t,
-                          std::uint32_t slot) {
-      t.global(bid_move_).write(slot, 0);
-      t.global(bid_bind_).write(slot, 0);
-      t.global(intent_kind_).write(slot, 0);
-      t.global(eligible_).write(slot, 0);
-    });
-    // Ghost region is a contiguous suffix of the layout.
-    const std::uint32_t base = lay_.interior_slots();
-    const std::uint64_t n = lay_.size() - base;
-    dev_.parallel_for(linear_launch(n, "k_clear_bids_ghost"),
-                      [&, base, n](auto& t) {
-      const std::uint64_t i = t.global_index();
-      if (i >= n) return;
-      const std::size_t slot = base + i;
-      t.global(bid_move_).write(slot, 0);
-      t.global(bid_bind_).write(slot, 0);
-      t.global(intent_kind_).write(slot, 0);
-    });
+    for_active_voxels("k_clear_bids", [](std::int32_t, std::int32_t,
+                          std::uint32_t slot, const auto& move,
+                          const auto& bind, const auto& kind,
+                          const auto& elig) {
+      move.write(slot, 0);
+      bind.write(slot, 0);
+      kind.write(slot, 0);
+      elig.write(slot, 0);
+    }, bid_move_, bid_bind_, intent_kind_, eligible_);
+    for_ghost_slots("k_clear_bids_ghost", [](std::uint32_t slot,
+                        const auto& move, const auto& bind, const auto& kind) {
+      move.write(slot, 0);
+      bind.write(slot, 0);
+      kind.write(slot, 0);
+    }, bid_move_, bid_bind_, intent_kind_);
   }
 
   void k_age_and_occupancy() {
-    for_active_voxels("k_age_and_occupancy", [&](auto& t, std::int32_t, std::int32_t,
-                          std::uint32_t slot) {
-      auto tc = t.global(tcell_);
-      auto occ = t.global(occupancy_);
+    for_active_voxels("k_age_and_occupancy", [](std::int32_t, std::int32_t,
+                          std::uint32_t slot, const auto& tc, const auto& occ,
+                          const auto& bind, const auto& timer,
+                          const auto& elig) {
       if (!tc.read(slot)) {
         occ.write(slot, 0);
         return;
       }
-      auto bind = t.global(tcell_bind_);
-      auto timer = t.global(tcell_timer_);
-      auto elig = t.global(eligible_);
       const std::uint32_t b = bind.read(slot);
       if (b > 0) {
         bind.write(slot, b - 1);
@@ -552,38 +560,39 @@ class GpuRank {
         }
       }
       occ.write(slot, tc.read(slot));
-    });
+    }, tcell_, occupancy_, tcell_bind_, tcell_timer_, eligible_);
   }
 
   /// Post-aging occupancy for ghost voxels, computed locally from the
   /// exchanged end-of-previous-step T cell state (the same deterministic
   /// rule the owner applies, so both sides agree on who blocks movement).
   void k_ghost_occupancy() {
-    const std::uint32_t base = lay_.interior_slots();
-    const std::uint64_t n = lay_.size() - base;
-    dev_.parallel_for(linear_launch(n, "k_ghost_occupancy"),
-                      [&, base, n](auto& t) {
-      const std::uint64_t i = t.global_index();
-      if (i >= n) return;
-      const std::size_t slot = base + i;
-      auto tc = t.global(tcell_);
+    for_ghost_slots("k_ghost_occupancy", [](std::uint32_t slot,
+                        const auto& tc, const auto& bind, const auto& timer,
+                        const auto& occupancy) {
       std::uint8_t occ = 0;
       if (tc.read(slot)) {
-        const std::uint32_t b = t.global(tcell_bind_).read(slot);
-        const std::uint32_t life = t.global(tcell_timer_).read(slot);
+        const std::uint32_t b = bind.read(slot);
+        const std::uint32_t life = timer.read(slot);
         occ = (b > 0 || life > 1) ? 1 : 0;
       }
-      t.global(occupancy_).write(slot, occ);
-    });
+      occupancy.write(slot, occ);
+    }, tcell_, tcell_bind_, tcell_timer_, occupancy_);
   }
 
   void k_intents() {
     const std::uint64_t step = step_;
-    for_active_voxels("k_intents", [&, step](auto& t, std::int32_t x,
-                                              std::int32_t y,
-                                              std::uint32_t slot) {
-      if (!t.global(eligible_).read(slot)) return;
-      auto epi = t.global(epi_state_);
+    for_active_voxels("k_intents", [&, step](std::int32_t x, std::int32_t y,
+                                              std::uint32_t slot,
+                                              const auto& elig, const auto& epi,
+                                              const auto& kind,
+                                              const auto& target,
+                                              const auto& bid,
+                                              const auto& itimer,
+                                              const auto& timer,
+                                              const auto& move,
+                                              const auto& bind) {
+      if (!elig.read(slot)) return;
       // Neighbour view in contract order over the *global* grid bounds.
       rules::NeighbourView nb;
       const std::int32_t gx = sub_.origin.x + x, gy = sub_.origin.y + y;
@@ -604,18 +613,18 @@ class GpuRank {
       const rules::Intent intent = rules::tcell_intent(
           rng_, step, v, static_cast<EpiState>(epi.read(slot)), nb);
       if (intent.kind == rules::IntentKind::kNone) return;
-      t.global(intent_kind_).write(slot,
-                                   static_cast<std::uint8_t>(intent.kind));
-      t.global(intent_target_).write(slot, intent.target);
-      t.global(intent_bid_).write(slot, intent.bid);
-      t.global(intent_timer_).write(slot, t.global(tcell_timer_).read(slot));
+      kind.write(slot, static_cast<std::uint8_t>(intent.kind));
+      target.write(slot, intent.target);
+      bid.write(slot, intent.bid);
+      itimer.write(slot, timer.read(slot));
       // "Assign winners": store the bid at the target (atomicMax); the
       // target may be a ghost slot.
       const std::uint32_t tslot = slot_of_global(intent.target);
-      auto& field = (intent.kind == rules::IntentKind::kMove) ? bid_move_
-                                                              : bid_bind_;
-      t.global(field).atomic_max(tslot, intent.bid);
-    });
+      const auto& field =
+          (intent.kind == rules::IntentKind::kMove) ? move : bind;
+      field.atomic_max(tslot, intent.bid);
+    }, eligible_, epi_state_, intent_kind_, intent_target_, intent_bid_,
+       intent_timer_, tcell_timer_, bid_move_, bid_bind_);
   }
 
   /// Layout slot of a global voxel id within my padded domain (interior or
@@ -636,107 +645,114 @@ class GpuRank {
   }
 
   void k_moves_own() {
-    for_active_voxels("k_moves_own", [&](auto& t, std::int32_t, std::int32_t,
-                          std::uint32_t slot) {
-      if (t.global(intent_kind_).read(slot) !=
+    for_active_voxels("k_moves_own", [&](std::int32_t, std::int32_t,
+                          std::uint32_t slot, const auto& kind,
+                          const auto& target_of, const auto& bid_of,
+                          const auto& bids, const auto& occupancy,
+                          const auto& tc, const auto& timer,
+                          const auto& bind) {
+      if (kind.read(slot) !=
           static_cast<std::uint8_t>(rules::IntentKind::kMove))
         return;
-      const VoxelId target = t.global(intent_target_).read(slot);
-      const std::uint64_t bid = t.global(intent_bid_).read(slot);
+      const VoxelId target = target_of.read(slot);
+      const std::uint64_t bid = bid_of.read(slot);
       const std::uint32_t tslot = slot_of_global(target);
-      if (t.global(bid_move_).read(tslot) != bid) return;   // lost tiebreak
-      if (t.global(occupancy_).read(tslot)) return;         // ran into a cell
+      if (bids.read(tslot) != bid) return;   // lost tiebreak
+      if (occupancy.read(tslot)) return;     // ran into a cell
       // Winner: erase at the source; instantiate when the target is ours
       // (otherwise the owner instantiates from our exchanged intent).
-      auto tc = t.global(tcell_);
-      auto timer = t.global(tcell_timer_);
       if (global_is_mine(target)) {
         tc.write(tslot, 1);
         timer.write(tslot, timer.read(slot));
-        t.global(tcell_bind_).write(tslot, 0);
+        bind.write(tslot, 0);
       }
       tc.write(slot, 0);
       timer.write(slot, 0);
-    });
+    }, intent_kind_, intent_target_, intent_bid_, bid_move_, occupancy_,
+       tcell_, tcell_timer_, tcell_bind_);
   }
 
   void k_moves_entrants() {
-    const std::uint32_t base = lay_.interior_slots();
-    const std::uint64_t n = lay_.size() - base;
-    dev_.parallel_for(linear_launch(n, "k_moves_entrants"),
-                      [&, base, n](auto& t) {
-      const std::uint64_t i = t.global_index();
-      if (i >= n) return;
-      const std::size_t slot = base + i;
-      if (t.global(intent_kind_).read(slot) !=
+    for_ghost_slots("k_moves_entrants", [&](std::uint32_t slot,
+                        const auto& kind, const auto& target_of,
+                        const auto& bid_of, const auto& bids,
+                        const auto& occupancy, const auto& tc,
+                        const auto& timer, const auto& itimer,
+                        const auto& bind) {
+      if (kind.read(slot) !=
           static_cast<std::uint8_t>(rules::IntentKind::kMove))
         return;
-      const VoxelId target = t.global(intent_target_).read(slot);
+      const VoxelId target = target_of.read(slot);
       if (!global_is_mine(target)) return;
-      const std::uint64_t bid = t.global(intent_bid_).read(slot);
+      const std::uint64_t bid = bid_of.read(slot);
       const std::uint32_t tslot = slot_of_global(target);
-      if (t.global(bid_move_).read(tslot) != bid) return;
-      if (t.global(occupancy_).read(tslot)) return;
-      t.global(tcell_).write(tslot, 1);
-      t.global(tcell_timer_).write(tslot,
-                                   t.global(intent_timer_).read(slot));
-      t.global(tcell_bind_).write(tslot, 0);
-    });
+      if (bids.read(tslot) != bid) return;
+      if (occupancy.read(tslot)) return;
+      tc.write(tslot, 1);
+      timer.write(tslot, itimer.read(slot));
+      bind.write(tslot, 0);
+    }, intent_kind_, intent_target_, intent_bid_, bid_move_, occupancy_,
+       tcell_, tcell_timer_, intent_timer_, tcell_bind_);
   }
 
   void k_binds_own() {
     const std::uint64_t step = step_;
-    for_active_voxels("k_binds_own", [&, step](auto& t, std::int32_t,
-                                               std::int32_t,
-                                               std::uint32_t slot) {
-      if (t.global(intent_kind_).read(slot) !=
+    for_active_voxels("k_binds_own", [&, step](std::int32_t, std::int32_t,
+                                               std::uint32_t slot,
+                                               const auto& kind,
+                                               const auto& target_of,
+                                               const auto& bid_of,
+                                               const auto& bids,
+                                               const auto& epi,
+                                               const auto& bind,
+                                               const auto& epi_timer) {
+      if (kind.read(slot) !=
           static_cast<std::uint8_t>(rules::IntentKind::kBind))
         return;
-      const VoxelId target = t.global(intent_target_).read(slot);
-      const std::uint64_t bid = t.global(intent_bid_).read(slot);
+      const VoxelId target = target_of.read(slot);
+      const std::uint64_t bid = bid_of.read(slot);
       const std::uint32_t tslot = slot_of_global(target);
-      if (t.global(bid_bind_).read(tslot) != bid) return;
-      auto epi = t.global(epi_state_);
+      if (bids.read(tslot) != bid) return;
       if (static_cast<EpiState>(epi.read(tslot)) != EpiState::kExpressing)
         return;
-      t.global(tcell_bind_).write(
-          slot, static_cast<std::uint32_t>(params_.tcell_binding_period));
+      bind.write(slot, static_cast<std::uint32_t>(params_.tcell_binding_period));
       if (global_is_mine(target)) {
         epi.write(tslot, static_cast<std::uint8_t>(EpiState::kApoptotic));
-        t.global(epi_timer_).write(
+        epi_timer.write(
             tslot, rules::sample_period(rng_, step, target,
                                         RngStream::kApoptosisPeriod,
                                         params_.apoptosis_period));
       }
-    });
+    }, intent_kind_, intent_target_, intent_bid_, bid_bind_, epi_state_,
+       tcell_bind_, epi_timer_);
   }
 
   void k_binds_ghost() {
     const std::uint64_t step = step_;
-    const std::uint32_t base = lay_.interior_slots();
-    const std::uint64_t n = lay_.size() - base;
-    dev_.parallel_for(linear_launch(n, "k_binds_ghost"),
-                      [&, step, base, n](auto& t) {
-      const std::uint64_t i = t.global_index();
-      if (i >= n) return;
-      const std::size_t slot = base + i;
-      if (t.global(intent_kind_).read(slot) !=
+    for_ghost_slots("k_binds_ghost", [&, step](std::uint32_t slot,
+                                               const auto& kind,
+                                               const auto& target_of,
+                                               const auto& bid_of,
+                                               const auto& bids,
+                                               const auto& epi,
+                                               const auto& epi_timer) {
+      if (kind.read(slot) !=
           static_cast<std::uint8_t>(rules::IntentKind::kBind))
         return;
-      const VoxelId target = t.global(intent_target_).read(slot);
+      const VoxelId target = target_of.read(slot);
       if (!global_is_mine(target)) return;
-      const std::uint64_t bid = t.global(intent_bid_).read(slot);
+      const std::uint64_t bid = bid_of.read(slot);
       const std::uint32_t tslot = slot_of_global(target);
-      if (t.global(bid_bind_).read(tslot) != bid) return;
-      auto epi = t.global(epi_state_);
+      if (bids.read(tslot) != bid) return;
       if (static_cast<EpiState>(epi.read(tslot)) != EpiState::kExpressing)
         return;
       epi.write(tslot, static_cast<std::uint8_t>(EpiState::kApoptotic));
-      t.global(epi_timer_).write(
+      epi_timer.write(
           tslot, rules::sample_period(rng_, step, target,
                                       RngStream::kApoptosisPeriod,
                                       params_.apoptosis_period));
-    });
+    }, intent_kind_, intent_target_, intent_bid_, bid_bind_, epi_state_,
+       epi_timer_);
   }
 
   void k_extravasation() {
@@ -747,14 +763,11 @@ class GpuRank {
         pool_, params_.max_extravasate_per_step);
     const std::uint64_t step = step_;
     dev_.launch_blocks({1, 1, "k_extravasation"},
-                       [&, attempts, step](auto& blk) {
+                       [&, attempts, step](auto& blk, const auto& tc,
+                                           const auto& timer, const auto& bind,
+                                           const auto& epi, const auto& chem,
+                                           const auto& count) {
       blk.for_each_thread([&](std::uint32_t) {
-        auto tc = blk.global(tcell_);
-        auto timer = blk.global(tcell_timer_);
-        auto bind = blk.global(tcell_bind_);
-        auto epi = blk.global(epi_state_);
-        auto chem = blk.global(chem_);
-        auto count = blk.global(extrav_dev_);
         std::uint32_t successes = 0;
         for (std::uint64_t i = 0; i < attempts; ++i) {
           const VoxelId u =
@@ -774,24 +787,25 @@ class GpuRank {
         }
         count.write(0, successes);
       });
-    });
+    }, tcell_, tcell_timer_, tcell_bind_, epi_state_, chem_, extrav_dev_);
   }
 
   void k_epithelial() {
     const std::uint64_t step = step_;
-    for_active_voxels("k_epithelial", [&, step](auto& t, std::int32_t x,
+    for_active_voxels("k_epithelial", [&, step](std::int32_t x,
                                                  std::int32_t y,
-                                                 std::uint32_t slot) {
-      auto epi = t.global(epi_state_);
+                                                 std::uint32_t slot,
+                                                 const auto& epi,
+                                                 const auto& timer,
+                                                 const auto& virus) {
       const auto s = static_cast<EpiState>(epi.read(slot));
       if (s == EpiState::kEmpty || s == EpiState::kDead) return;
-      auto timer = t.global(epi_timer_);
       const rules::EpiUpdate u = rules::update_epithelial(
           rng_, step, gid(x, y), s, timer.read(slot),
-          t.global(virus_).read(slot), params_);
+          virus.read(slot), params_);
       epi.write(slot, static_cast<std::uint8_t>(u.state));
       timer.write(slot, u.timer);
-    });
+    }, epi_state_, epi_timer_, virus_);
   }
 
   void field_pass(DeviceBuffer<float>& field, bool is_virus) {
@@ -818,14 +832,16 @@ class GpuRank {
     // Production + decay into tmp, one vectorized row per thread (tmp is
     // all-zero outside active tiles).
     for_active_rows("field_produce_decay",
-                    [&](auto& t, std::uint32_t, std::uint32_t, std::int32_t,
-                        std::int32_t, std::int32_t n, std::uint32_t row_base) {
+                    [&](std::uint32_t, std::uint32_t, std::int32_t,
+                        std::int32_t, std::int32_t n, std::uint32_t row_base,
+                        const auto& epi_of, const auto& f_of,
+                        const auto& tmp) {
       const auto un = static_cast<std::size_t>(n);
-      const std::uint8_t* epi = t.global(epi_state_).read_block(row_base, un);
-      const float* f = t.global(field).read_block(row_base, un);
-      float* out = t.global(tmp_).write_block(row_base, un);
+      const std::uint8_t* epi = epi_of.read_block(row_base, un);
+      const float* f = f_of.read_block(row_base, un);
+      float* out = tmp.write_block(row_base, un);
       stencil::produce_decay_row(f, epi, out, n, is_virus, production, decay);
-    });
+    }, epi_state_, field, tmp_);
     // Boundary tmp -> neighbour ghosts (diffusion reads this-step values).
     exchange(tmp_, kPTmp, StripSide::kBoundary, MergeMode::kOverwrite);
     // Diffusion stencil reading tmp, writing the field.  The row interior
@@ -833,10 +849,10 @@ class GpuRank {
     // row-edge voxels are peeled onto the scalar gather, which handles
     // cross-tile/ghost x neighbours and the global-x-edge neighbour count.
     for_active_rows("field_diffuse",
-                    [&](auto& t, std::uint32_t tile_id, std::uint32_t iy,
+                    [&](std::uint32_t tile_id, std::uint32_t iy,
                         std::int32_t x0, std::int32_t y, std::int32_t n,
-                        std::uint32_t row_base) {
-      auto tmp = t.global(tmp_);
+                        std::uint32_t row_base, const auto& tmp,
+                        const auto& f_of) {
       const auto un = static_cast<std::size_t>(n);
       const float* c = tmp.read_block(row_base, un);
       // -y neighbour row: previous row of this tile, bottom row of the
@@ -859,7 +875,7 @@ class GpuRank {
       } else {
         yp = tmp.read_block((tile_id + tiles_x) * ts, un);
       }
-      float* out = t.global(field).write_block(row_base, un);
+      float* out = f_of.write_block(row_base, un);
       const std::int32_t gy = sub_.origin.y + y;
       const int cnt_row =
           2 + (gy > 0 ? 1 : 0) + (gy + 1 < grid_.dim_y() ? 1 : 0);
@@ -886,24 +902,20 @@ class GpuRank {
         out[ix] = rules::diffuse(c[ix], sum, cnt, diffusion, floor_eps);
         if (last == 0) break;
       }
-    });
+    }, tmp_, field);
     // Re-zero tmp for the next field (active rows + ghost strips only —
     // everything else was never written).
     for_active_rows("field_rezero",
-                    [&](auto& t, std::uint32_t, std::uint32_t, std::int32_t,
-                        std::int32_t, std::int32_t n, std::uint32_t row_base) {
-      float* out =
-          t.global(tmp_).write_block(row_base, static_cast<std::size_t>(n));
+                    [](std::uint32_t, std::uint32_t, std::int32_t,
+                       std::int32_t, std::int32_t n, std::uint32_t row_base,
+                       const auto& tmp) {
+      float* out = tmp.write_block(row_base, static_cast<std::size_t>(n));
       for (std::int32_t j = 0; j < n; ++j) out[j] = 0.0f;
-    });
-    const std::uint32_t base = lay_.interior_slots();
-    const std::uint64_t n = lay_.size() - base;
-    dev_.parallel_for(linear_launch(n, "field_rezero_ghost"),
-                      [&, base, n](auto& t) {
-      const std::uint64_t i = t.global_index();
-      if (i >= n) return;
-      t.global(tmp_).write(base + i, 0.0f);
-    });
+    }, tmp_);
+    for_ghost_slots("field_rezero_ghost",
+                    [](std::uint32_t slot, const auto& tmp) {
+      tmp.write(slot, 0.0f);
+    }, tmp_);
   }
 
   void run_tile_sweep() {
@@ -915,7 +927,8 @@ class GpuRank {
     const std::uint32_t bd = std::min<std::uint32_t>(spt, 1024);
     dev_.launch_blocks(
         {static_cast<std::uint32_t>(lay_.num_tiles()), bd, "tile_sweep"},
-        [&, ts](auto& blk) {
+        [&, ts](auto& blk, const auto& epi, const auto& tc, const auto& vir,
+                const auto& che, const auto& flags) {
           // One flag slot per thread: every thread writing a single shared
           // found[0] in the same phase is a write-write race on real
           // hardware (the old code relied on all writers storing the same
@@ -923,14 +936,10 @@ class GpuRank {
           // publishing phase, after the implicit __syncthreads.
           auto found = blk.template shared<std::uint32_t>(bd);
           blk.for_each_thread([&](std::uint32_t tid) {
-            auto epi = blk.global(epi_state_);
-            auto tc = blk.global(tcell_);
-            auto vir = blk.global(virus_);
-            auto che = blk.global(chem_);
             for (std::uint32_t i = tid; i < spt; i += bd) {
               const std::uint32_t slot = blk.block_idx() * ts + i;
               std::int32_t x, y;
-              lay_.slot_to_xy(slot, x, y);
+              lay_.tile_voxel_xy(blk.block_idx(), i, x, y);
               if (x >= w_ || y >= h_) continue;  // tile padding
               if (vir.read(slot) > 0.0f || che.read(slot) > 0.0f ||
                   tc.read(slot) != 0 ||
@@ -945,11 +954,11 @@ class GpuRank {
               for (std::uint32_t k = 0; k < bd; ++k) {
                 any |= static_cast<std::uint32_t>(found[k]);
               }
-              blk.global(sweep_flags_)
-                  .write(blk.block_idx(), static_cast<std::uint8_t>(any));
+              flags.write(blk.block_idx(), static_cast<std::uint8_t>(any));
             }
           });
-        });
+        },
+        epi_state_, tcell_, virus_, chem_, sweep_flags_);
     std::vector<std::uint8_t> raw(static_cast<std::size_t>(lay_.num_tiles()));
     sweep_flags_.copy_to_host(raw);
     tiles_.update_from_sweep(raw);
@@ -1001,21 +1010,23 @@ class GpuRank {
     // tolerance and the integer-valued stats are exact below 2^53.
     stats_dev_.tolerate_schedule_variance(
         "unoptimized per-voxel FP atomic reduction");
-    dev_.parallel_for(linear_launch(n, "reduce_atomic"), [&, n](auto& t) {
+    dev_.parallel_for(linear_launch(n, "reduce_atomic"),
+                      [&, n](auto& t, const auto& out, const auto& vir,
+                             const auto& che, const auto& epi,
+                             const auto& tc) {
       const std::uint64_t i = t.global_index();
       if (i >= n) return;
       std::int32_t x, y;
       lay_.slot_to_xy(static_cast<std::uint32_t>(i), x, y);
       if (x >= w_ || y >= h_) return;
-      auto out = t.global(stats_dev_);
-      const float v = t.global(virus_).read(i);
+      const float v = vir.read(i);
       if (v > 0.0f) out.atomic_add(0, static_cast<double>(v));
-      const float c = t.global(chem_).read(i);
+      const float c = che.read(i);
       if (c > 0.0f) out.atomic_add(1, static_cast<double>(c));
-      const auto s = t.global(epi_state_).read(i);
+      const auto s = epi.read(i);
       out.atomic_add(2 + s, 1.0);
-      if (t.global(tcell_).read(i)) out.atomic_add(2 + kNumEpiStates, 1.0);
-    });
+      if (tc.read(i)) out.atomic_add(2 + kNumEpiStates, 1.0);
+    }, stats_dev_, virus_, chem_, epi_state_, tcell_);
   }
 
   /// Fast reduction (§3.3): threads accumulate strided subsets, blocks fold
@@ -1036,14 +1047,12 @@ class GpuRank {
           "cross-block FP atomic merge of partial sums");
     }
     dev_.launch_blocks({blocks, bd, "reduce_tree"},
-                       [&, n, bd, stride](auto& blk) {
+                       [&, n, bd, stride](auto& blk, const auto& epi,
+                                          const auto& tc, const auto& vir,
+                                          const auto& che, const auto& out) {
       auto sh = blk.template shared<double>(static_cast<std::size_t>(bd) *
                                             kNumDevStats);
       blk.for_each_thread([&](std::uint32_t tid) {
-        auto epi = blk.global(epi_state_);
-        auto tc = blk.global(tcell_);
-        auto vir = blk.global(virus_);
-        auto che = blk.global(chem_);
         std::array<double, kNumDevStats> acc{};
         for (std::uint64_t i = blk.block_idx() * bd + tid; i < n; i += stride) {
           std::int32_t x, y;
@@ -1069,13 +1078,12 @@ class GpuRank {
       }
       blk.for_each_thread([&](std::uint32_t tid) {
         if (tid == 0) {
-          auto out = blk.global(stats_dev_);
           for (std::size_t s = 0; s < kNumDevStats; ++s) {
             out.atomic_add(s, sh[s]);
           }
         }
       });
-    });
+    }, epi_state_, tcell_, virus_, chem_, stats_dev_);
   }
 
   // ---- cost accounting ------------------------------------------------------------

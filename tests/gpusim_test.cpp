@@ -1,11 +1,18 @@
 // Virtual GPU: kernel execution semantics (grid/block/thread indexing,
 // shared-memory phases, atomics), the host/device access discipline, and
 // event counting — the counters drive the performance model, so their
-// exactness is load-bearing.
+// exactness is load-bearing.  The launch-equivalence tests pin the
+// canonical launch loop, its KernelCheck replay loop and launch-bound
+// buffer arguments to the same counts, bytes and results.
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <map>
 #include <numeric>
+#include <optional>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "gpusim/gpusim.hpp"
@@ -235,6 +242,199 @@ TEST(GpuSim, AllocationTracking) {
     EXPECT_EQ(dev.allocated_bytes(), 800u);  // move does not double-count
   }
   EXPECT_EQ(dev.allocated_bytes(), 0u);
+}
+
+// ---- launch equivalence ----------------------------------------------------
+
+/// Everything a launch sequence leaves behind that must not depend on the
+/// checker mode, the profiler or how the kernels bind their buffers.
+struct LaunchOutcome {
+  DeviceStats stats;
+  std::vector<std::uint32_t> out, hist, sums, total;
+  /// Per-buffer traffic summed over the profiled launches (profile on).
+  std::map<std::string, std::array<std::uint64_t, 3>> prof;
+};
+
+void expect_same_stats(const DeviceStats& a, const DeviceStats& b) {
+  EXPECT_EQ(a.kernel_launches, b.kernel_launches);
+  EXPECT_EQ(a.blocks_executed, b.blocks_executed);
+  EXPECT_EQ(a.threads_executed, b.threads_executed);
+  EXPECT_EQ(a.global_read_bytes, b.global_read_bytes);
+  EXPECT_EQ(a.global_write_bytes, b.global_write_bytes);
+  EXPECT_EQ(a.atomic_ops, b.atomic_ops);
+  EXPECT_EQ(a.shared_bytes_allocated, b.shared_bytes_allocated);
+  EXPECT_EQ(a.h2d_bytes, b.h2d_bytes);
+  EXPECT_EQ(a.d2h_bytes, b.d2h_bytes);
+  EXPECT_EQ(a.peak_allocated_bytes, b.peak_allocated_bytes);
+}
+
+/// A ragged parallel_for (1024 threads over 1000 items: the last block's
+/// tail returns early) and a shared-memory tree reduction, with buffers
+/// bound as launch arguments or, when `per_thread_bind`, from inside every
+/// thread through ThreadCtx/BlockCtx::global.
+LaunchOutcome run_launch_pair(const obs::Config& cfg, bool per_thread_bind) {
+  constexpr std::uint32_t kItems = 1000, kBlocks = 4, kBlock = 64;
+  Device dev(0, {.obs = cfg});
+  std::vector<std::uint32_t> host(kItems);
+  for (std::uint32_t i = 0; i < kItems; ++i) host[i] = 3 * i + 1;
+  DeviceBuffer<std::uint32_t> in(dev, kItems, 0, "in");
+  DeviceBuffer<std::uint32_t> out(dev, kItems, 0, "out");
+  DeviceBuffer<std::uint32_t> hist(dev, 4, 0, "hist");
+  DeviceBuffer<std::uint32_t> sums(dev, kBlocks, 0, "sums");
+  DeviceBuffer<std::uint32_t> total(dev, 1, 0, "total");
+  in.copy_from_host(host);
+
+  using Span = GlobalSpan<std::uint32_t>;
+  const auto ragged = [&](const ThreadCtx& t, const Span& src, const Span& dst,
+                          const Span& h) {
+    const std::uint64_t i = t.global_index();
+    if (i >= kItems) return;
+    dst.write(i, 2 * src.read(i) + 1);
+    h.atomic_add(i % 4, 1);
+  };
+  const LaunchConfig flat{8, 128, "ragged"};
+  if (per_thread_bind) {
+    dev.parallel_for(flat, [&](ThreadCtx& t) {
+      ragged(t, t.global(in), t.global(out), t.global(hist));
+    });
+  } else {
+    dev.parallel_for(flat, ragged, in, out, hist);
+  }
+
+  const auto tree = [&](BlockCtx& blk, const auto& bind) {
+    auto sh = blk.shared<std::uint32_t>(kBlock);
+    blk.for_each_thread([&](std::uint32_t tid) {
+      const auto [src, dst, tot] = bind();
+      (void)dst;
+      (void)tot;
+      std::uint32_t acc = 0;
+      for (std::uint32_t i = blk.block_idx() * kBlock + tid; i < kItems;
+           i += kBlocks * kBlock) {
+        acc += src.read(i);
+      }
+      sh[tid] = acc;
+    });
+    for (std::uint32_t off = kBlock / 2; off > 0; off >>= 1) {
+      blk.for_each_thread([&](std::uint32_t tid) {
+        if (tid < off) sh[tid] += sh[tid + off];
+      });
+    }
+    blk.for_each_thread([&](std::uint32_t tid) {
+      if (tid != 0) return;
+      const auto [src, dst, tot] = bind();
+      (void)src;
+      dst.write(blk.block_idx(), sh[0]);
+      tot.atomic_add(0, sh[0]);
+    });
+  };
+  const LaunchConfig blocks{kBlocks, kBlock, "tree"};
+  if (per_thread_bind) {
+    dev.launch_blocks(blocks, [&](BlockCtx& blk) {
+      tree(blk, [&] {
+        return std::tuple{blk.global(in), blk.global(sums), blk.global(total)};
+      });
+    });
+  } else {
+    dev.launch_blocks(
+        blocks,
+        [&](BlockCtx& blk, const auto& src, const auto& dst, const auto& tot) {
+          tree(blk, [&] { return std::tie(src, dst, tot); });
+        },
+        in, sums, total);
+  }
+
+  LaunchOutcome o;
+  o.out.resize(kItems);
+  o.hist.resize(4);
+  o.sums.resize(kBlocks);
+  o.total.resize(1);
+  out.copy_to_host(o.out);
+  hist.copy_to_host(o.hist);
+  sums.copy_to_host(o.sums);
+  total.copy_to_host(o.total);
+  o.stats = dev.stats();
+  if (obs::KernelProf* prof = dev.profiler()) {
+    for (const obs::LaunchRecord& rec : prof->drain()) {
+      for (const auto& [name, t] : rec.buffers) {
+        auto& sum = o.prof[name];
+        sum[0] += t.read_bytes;
+        sum[1] += t.write_bytes;
+        sum[2] += t.atomic_ops;
+      }
+    }
+  }
+  if (const KernelChecker* chk = dev.checker()) {
+    EXPECT_TRUE(chk->clean()) << chk->report();
+  }
+  return o;
+}
+
+TEST(GpuSimLaunch, CanonicalReplayAndBindFormsAgree) {
+  const LaunchOutcome ref = run_launch_pair({}, /*per_thread_bind=*/false);
+  // Hand-computed: 8 x 128 + 4 x 64 x (1 + 6 tree + 1) phase threads.
+  EXPECT_EQ(ref.stats.kernel_launches, 2u);
+  EXPECT_EQ(ref.stats.blocks_executed, 8u + 4u);
+  EXPECT_EQ(ref.stats.threads_executed, 8u * 128u + 4u * 64u * 8u);
+  EXPECT_EQ(ref.stats.global_read_bytes, 2u * 1000u * 4u);
+  EXPECT_EQ(ref.stats.global_write_bytes, 1000u * 4u + 4u * 4u);
+  EXPECT_EQ(ref.stats.atomic_ops, 1000u + 4u);
+  std::uint32_t sum = 0;
+  for (std::uint32_t i = 0; i < 1000; ++i) {
+    ASSERT_EQ(ref.out[i], 2 * (3 * i + 1) + 1);
+    sum += 3 * i + 1;
+  }
+  EXPECT_EQ(ref.hist, (std::vector<std::uint32_t>{250, 250, 250, 250}));
+  EXPECT_EQ(ref.total[0], sum);
+
+  const LaunchOutcome profiled = run_launch_pair({.profile = true}, false);
+  ASSERT_EQ(profiled.prof.size(), 5u);  // every buffer saw traffic
+  for (const bool per_thread : {false, true}) {
+    for (const bool check : {false, true}) {
+      for (const bool permute : {false, true}) {
+        if (permute && !check) continue;  // permute implies access checks
+        for (const bool profile : {false, true}) {
+          SCOPED_TRACE(testing::Message()
+                       << "per_thread=" << per_thread << " check=" << check
+                       << " permute=" << permute << " profile=" << profile);
+          const LaunchOutcome o = run_launch_pair(
+              {.kernel_check = check, .permute = permute, .profile = profile},
+              per_thread);
+          expect_same_stats(o.stats, ref.stats);
+          EXPECT_EQ(o.out, ref.out);
+          EXPECT_EQ(o.hist, ref.hist);
+          EXPECT_EQ(o.sums, ref.sums);
+          EXPECT_EQ(o.total, ref.total);
+          EXPECT_EQ(o.prof, profile ? profiled.prof : ref.prof);
+        }
+      }
+    }
+  }
+}
+
+TEST(GpuSimLaunch, ForeignLaunchArgumentThrowsBeforeAnyThreadRuns) {
+  Device a(0, {.obs = {}}), b(1, {.obs = {}});
+  DeviceBuffer<float> mine(a, 4, 0.0f), foreign(b, 4, 0.0f);
+  bool ran = false;
+  const auto touch = [&](auto&...) { ran = true; };
+  EXPECT_THROW(a.parallel_for({1, 4}, touch, mine, foreign), Error);
+  EXPECT_THROW(a.launch_blocks({1, 4}, touch, foreign), Error);
+  EXPECT_FALSE(ran);
+  EXPECT_FALSE(a.kernel_active());
+}
+
+TEST(GpuSimLaunch, SpanUsedAfterItsLaunchIsReportedByKernelCheck) {
+  Device dev(0, {.obs = {.kernel_check = true}});
+  DeviceBuffer<int> buf(dev, 4, 7, "kept");
+  std::optional<GlobalSpan<int>> kept;
+  dev.parallel_for(
+      {1, 1}, [&](ThreadCtx&, const GlobalSpan<int>& s) { kept = s; }, buf);
+  ASSERT_TRUE(dev.checker()->clean());
+  EXPECT_EQ(kept->read(2), 7);  // the launch has ended: a stale access
+  EXPECT_EQ(dev.checker()->violation_count(), 1u);
+  EXPECT_NE(dev.checker()->report().find("stale span"), std::string::npos)
+      << dev.checker()->report();
+  EXPECT_NE(dev.checker()->report().find("'kept' element 2"),
+            std::string::npos);
 }
 
 }  // namespace

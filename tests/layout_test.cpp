@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <random>
 #include <set>
 #include <tuple>
+#include <vector>
 
 #include "simcov_gpu/layout.hpp"
 
@@ -147,6 +150,82 @@ TEST(TiledLayout, InvalidConfigsThrow) {
   EXPECT_THROW(TiledLayout(0, 4, 2), Error);
   EXPECT_THROW(TiledLayout(4, 4, 0), Error);
   EXPECT_THROW(TiledLayout(64, 64, 33), Error);  // block-per-tile limit
+}
+
+TEST(TiledLayout, OversizedLayoutThrows) {
+  // 70000^2 voxels in 32-tiles: 2188^2 tiles x 1024 slots > 2^32, which
+  // would silently wrap interior_slots()/size() in 32-bit slot arithmetic.
+  EXPECT_THROW(TiledLayout(70000, 70000, 32), Error);
+  // The largest sizes that still fit are accepted, with exact accounting:
+  // 2047 x 2047 tiles of 1024 slots plus the ghost strips stays below 2^32.
+  const TiledLayout big(2047 * 32, 2047 * 32, 32);
+  EXPECT_EQ(big.size(), 2047u * 2047u * 1024u + 4u * 2047u * 32u);
+  EXPECT_THROW(TiledLayout(2048 * 32, 2048 * 32, 32), Error);
+  // The 64-bit check itself must not wrap: 2^62 one-voxel tiles.
+  EXPECT_THROW(TiledLayout(0x7FFFFFFF, 0x7FFFFFFF, 1), Error);
+}
+
+// Callers take the remainder as n - div(n) * d, so both are checked.
+TEST(Reciprocal, MatchesHardwareDivisionForEveryDivisorUpTo1024) {
+  std::mt19937_64 gen(20240614);
+  std::uniform_int_distribution<std::uint32_t> any;
+  for (std::uint32_t d = 1; d <= 1024; ++d) {
+    const Reciprocal r(d);
+    ASSERT_EQ(r.divisor(), d);
+    std::vector<std::uint32_t> nums = {0u, 1u, d - 1, d, d + 1, 0xFFFFFFFFu};
+    for (int k = 0; k < 64; ++k) nums.push_back(any(gen));
+    for (const std::uint32_t n : nums) {
+      ASSERT_EQ(r.div(n), n / d) << n << " / " << d;
+      ASSERT_EQ(n - r.div(n) * d, n % d) << n << " % " << d;
+    }
+  }
+}
+
+TEST(Reciprocal, LargestDivisorsStayExact) {
+  for (const std::uint32_t d :
+       {0x7FFFFFFFu, 0x80000000u, 0x40000001u, 65537u, 1u}) {
+    const Reciprocal r(d);
+    for (const std::uint32_t n :
+         {0u, 1u, d - 1, d, d + 1, 2 * d - 1, 0xFFFFFFFEu, 0xFFFFFFFFu}) {
+      ASSERT_EQ(r.div(n), n / d) << n << " / " << d;
+      ASSERT_EQ(n - r.div(n) * d, n % d) << n << " % " << d;
+    }
+  }
+  EXPECT_THROW(Reciprocal(0), Error);
+  EXPECT_THROW(Reciprocal(0x80000001u), Error);
+}
+
+TEST(TiledLayout, EverySlotRoundTripsOnRaggedLayouts) {
+  // Every interior slot of every (w, h, tile) combination maps to a voxel
+  // that index()es back to it, or to padding: an edge tile's out-of-domain
+  // voxel, or the stride pad, which must return the (w, h) sentinel.
+  for (const std::int32_t w : {1, 7, 37, 64}) {
+    for (const std::int32_t h : {1, 7, 37, 64}) {
+      for (std::int32_t tile = 1; tile <= 32; ++tile) {
+        const TiledLayout lay(w, h, tile);
+        const std::uint32_t ts = lay.tile_stride();
+        const auto spt = static_cast<std::uint32_t>(lay.slots_per_tile());
+        std::int64_t voxels = 0;
+        for (std::uint32_t s = 0; s < lay.interior_slots(); ++s) {
+          std::int32_t x, y;
+          lay.slot_to_xy(s, x, y);
+          if (s % ts >= spt) {
+            ASSERT_EQ(x, w) << "stride pad " << s << " of " << w << "x" << h
+                            << " tile " << tile;
+            ASSERT_EQ(y, h);
+            continue;
+          }
+          ASSERT_EQ(static_cast<std::int32_t>(s / ts),
+                    (y / tile) * lay.tiles_x() + x / tile);
+          if (x >= w || y >= h) continue;  // edge-tile padding voxel
+          ASSERT_EQ(lay.index(x, y), s) << x << "," << y << " of " << w
+                                        << "x" << h << " tile " << tile;
+          ++voxels;
+        }
+        ASSERT_EQ(voxels, static_cast<std::int64_t>(w) * h);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -8,7 +8,8 @@ raw pointers, host staging copies, casts that launder a pointer past the
 type system — executes unchecked, and a race through that side channel is
 invisible to the dynamic analyzer.  This lint closes the loophole
 statically: every lambda passed to ``parallel_for`` / ``launch_blocks``
-(including the ``for_active_voxels`` and ``for_active_rows`` wrappers) in
+(including the ``for_active_voxels``, ``for_active_rows`` and
+``for_ghost_slots`` wrappers) in
 ``src/`` must touch device data only through the instrumented
 abstractions.
 
@@ -42,11 +43,13 @@ import sys
 # (or the wrapper's name) keeps the *definitions* in device.hpp out.
 LAUNCH_RE = re.compile(
     r"(?:(?:\.|->)\s*(?:parallel_for|launch_blocks)"
-    r"|\bfor_active_voxels|\bfor_active_rows)\s*\(")
+    r"|\bfor_active_voxels|\bfor_active_rows|\bfor_ghost_slots)\s*\(")
 
 # A region is only a kernel if it actually contains a lambda; the
 # for_active_voxels *declaration* (``const char* name, F&& body``) has none.
-LAMBDA_RE = re.compile(r"\[[&=]|\[this")
+# Capture-less kernels (``[](... const auto& span)``), which reach device
+# data only through launch-bound span arguments, count too.
+LAMBDA_RE = re.compile(r"\[[&=\]]|\[this")
 
 RULES = [
     ("raw-pointer", re.compile(r"\.\s*raw\s*\(")),
