@@ -20,12 +20,10 @@ int find_phase(const std::vector<std::string>& names, std::string_view want,
 }
 
 WhatIfRow make_whatif(const std::string& name, const std::string& phase,
-                      int roadmap, double factor, double projected_s,
-                      double critical_s) {
+                      double factor, double projected_s, double critical_s) {
   WhatIfRow row;
   row.name = name;
   row.phase = phase;
-  row.roadmap_item = roadmap;
   row.factor = factor;
   row.projected_s = projected_s;
   row.speedup = projected_s > 0.0 ? critical_s / projected_s : 1.0;
@@ -78,39 +76,39 @@ CritPathReport build_critpath_report(
   }
 
   // What-if projections: Amdahl over the critical path.  Each row prices one
-  // ROADMAP open item; factor is the phase's projected time as a fraction of
-  // its current critical-path time.
+  // named change; factor is the phase's projected time as a fraction of its
+  // current critical-path time.
   const int conc = find_phase(phase_names, "concentrations", num_phases);
   if (conc >= 0 && conc < static_cast<int>(modeled_by_phase_s.size())) {
-    // ROADMAP item 1: SIMD the concentrations hot path until it runs at the
-    // cost model's (roofline) speed.
+    // concentrations@modeled: the concentrations phase runs at the cost
+    // model's (roofline) speed.
     const double crit_p = accum.crit_phase_ns(conc) * kNsToS;
     const double modeled_p = modeled_by_phase_s[conc];
     double factor = crit_p > 0.0 ? modeled_p / crit_p : 1.0;
     factor = std::clamp(factor, 0.0, 1.0);
     const double projected = rep.critical_s - crit_p * (1.0 - factor);
     rep.whatif.push_back(make_whatif("concentrations@modeled",
-                                     phase_names[conc], 1, factor, projected,
+                                     phase_names[conc], factor, projected,
                                      rep.critical_s));
   }
   const int halo = find_phase(phase_names, "halo", num_phases);
   if (halo >= 0) {
-    // ROADMAP item 3: async pipeline fully overlaps the halo exchange with
-    // interior compute, removing the phase from the path.
+    // halo@overlapped: an async pipeline fully overlaps the halo exchange
+    // with interior compute, removing the phase from the path.
     const double crit_p = accum.crit_phase_ns(halo) * kNsToS;
     const double projected = rep.critical_s - crit_p;
-    rep.whatif.push_back(make_whatif("halo@overlapped", phase_names[halo], 3,
+    rep.whatif.push_back(make_whatif("halo@overlapped", phase_names[halo],
                                      0.0, projected, rep.critical_s));
   }
   {
-    // ROADMAP item 4: perfect tile stealing collapses the max-over-ranks
+    // rebalance@mean: perfect tile stealing collapses the max-over-ranks
     // work to the mean — the path shrinks by the imbalance factor.
     const double factor = rep.imbalance_factor > 0.0
                               ? 1.0 / rep.imbalance_factor
                               : 1.0;
     const double projected = rep.critical_s * factor;
     rep.whatif.push_back(
-        make_whatif("rebalance@mean", "all", 4, factor, projected,
+        make_whatif("rebalance@mean", "all", factor, projected,
                     rep.critical_s));
   }
   std::sort(rep.whatif.begin(), rep.whatif.end(),
@@ -160,11 +158,10 @@ void print_critpath_report(std::FILE* out, const CritPathReport& rep) {
   std::fprintf(out, "binding ranks:\n%s", ranks.to_string().c_str());
 
   if (!rep.whatif.empty()) {
-    TextTable wi({"what-if", "roadmap", "phase", "factor", "projected s",
-                  "speedup", "improves"});
+    TextTable wi({"what-if", "phase", "factor", "projected s", "speedup",
+                  "improves"});
     for (const WhatIfRow& r : rep.whatif) {
-      wi.add_row({r.name, "#" + std::to_string(r.roadmap_item), r.phase,
-                  fmt(r.factor, 3), fmt(r.projected_s, 4),
+      wi.add_row({r.name, r.phase, fmt(r.factor, 3), fmt(r.projected_s, 4),
                   fmt(r.speedup, 3) + "x",
                   fmt(r.improvement * 100.0, 1) + "%"});
     }

@@ -22,7 +22,7 @@
 //     concentrations ran long" — which is the prioritization signal.
 //   * Straggler churn (how often the binding rank changes step-to-step) and
 //     the paper's max/mean imbalance factor fall out of the same gather;
-//     churn is the signal ROADMAP item 4 (tile stealing) gates on.
+//     churn is the signal a tile-stealing rebalance would gate on.
 //
 // On top of the accumulated path, build_critpath_report ranks what-if
 // projections — "if phase P ran at modeled speed, end-to-end improves X%" —
@@ -194,7 +194,7 @@ class CritPathAccum {
   }
   /// Times the binding rank changed between consecutive steps.
   std::uint64_t binding_switches() const { return switches_; }
-  /// Switches per step transition, in [0,1]; the ROADMAP item 4 signal.
+  /// Switches per step transition, in [0,1]; the rebalancing signal.
   double churn() const {
     return steps_ > 1 ? static_cast<double>(switches_) /
                             static_cast<double>(steps_ - 1)
@@ -258,7 +258,6 @@ struct CritRankRow {
 struct WhatIfRow {
   std::string name;      ///< e.g. "concentrations@modeled"
   std::string phase;     ///< phase name, or "all" for rebalancing
-  int roadmap_item = 0;  ///< ROADMAP open item this projection prices
   double factor = 1.0;
   double projected_s = 0.0;   ///< projected critical path, seconds
   double speedup = 1.0;       ///< critical_s / projected_s
@@ -296,10 +295,11 @@ struct CritPathReport {
 /// Builds the report from rank 0's accumulator.  `phase_names[p]` names
 /// phase p (the backends pass perfmodel::phase_name); `modeled_by_phase_s`
 /// is the cost model's max-folded per-phase seconds for the same run (may
-/// be empty: what-if rows that need the model are then omitted).  What-if
-/// rows price ROADMAP items 1 (concentrations at modeled speed), 3 (halo
-/// fully overlapped) and 4 (perfect rebalance: path shrinks to mean work),
-/// sorted by improvement, best first.
+/// be empty: what-if rows that need the model are then omitted).  The
+/// what-if rows are concentrations@modeled (concentrations at modeled
+/// speed), halo@overlapped (halo fully overlapped) and rebalance@mean
+/// (perfect rebalance: path shrinks to mean work), sorted by improvement,
+/// best first.
 CritPathReport build_critpath_report(
     const CritPathAccum& accum, const std::vector<std::string>& phase_names,
     const std::vector<double>& modeled_by_phase_s);

@@ -329,8 +329,7 @@ std::string BenchReport::to_json() const {
         os << "\n    {";
         emit_kv(os, "name", w.name);
         emit_kv(os, "phase", w.phase, /*comma=*/false);
-        os << ",\"roadmap\":" << w.roadmap_item
-           << ",\"factor\":" << json_num(w.factor)
+        os << ",\"factor\":" << json_num(w.factor)
            << ",\"projected_s\":" << json_num(w.projected_s)
            << ",\"speedup\":" << json_num(w.speedup)
            << ",\"improvement\":" << json_num(w.improvement) << "}";

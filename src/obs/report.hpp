@@ -53,7 +53,7 @@
 //                    "phases": [ {"phase", "critical_s", "critical_share",
 //                                 "attributed_wait_s", "mean_s", "max_s"} ],
 //                    "ranks_bound": [ {"rank", "steps_bound", "share"} ],
-//                    "whatif": [ {"name", "phase", "roadmap", "factor",
+//                    "whatif": [ {"name", "phase", "factor",
 //                                 "projected_s", "speedup",
 //                                 "improvement"} ] },
 //            (present only for critpath runs; phase critical_share sums to

@@ -14,7 +14,8 @@
 // Header-only and backend-agnostic: the byte-per-slot constants mirror the
 // allocations in simcov_gpu/gpu_sim.cpp and simcov_cpu/cpu_sim.cpp (each
 // constant's derivation is spelled out below, and tests/memscope_test.cpp
-// pins them against a hand-computed layout).
+// pins them against a hand-computed layout).  The halo constants are also
+// static_asserted in those two files, so a new payload must update them.
 
 #include <cstddef>
 #include <cstdint>

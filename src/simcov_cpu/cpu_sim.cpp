@@ -15,6 +15,7 @@
 #include "obs/trace.hpp"
 #include "pgas/runtime.hpp"
 #include "perfmodel/mem_model.hpp"
+#include "spmd/halo.hpp"
 #include "util/align.hpp"
 #include "util/error.hpp"
 
@@ -27,12 +28,16 @@ constexpr bool transient_epi(EpiState s) {
          s == EpiState::kApoptotic;
 }
 
-/// Channel numbering for halo strips: face * 3 + payload kind.
-enum HaloKind : int { kStatePack = 0, kVirusTmp = 1, kChemTmp = 2 };
-constexpr int channel_of(int face, int kind) { return face * 3 + kind; }
-
 /// Bytes per voxel in the end-of-step state pack: epi(1) + virus(4) + chem(4).
 constexpr std::size_t kStatePackBytes = 9;
+
+/// Halo streams: the end-of-step state pack, then each field's tmp strip.
+enum HaloStream : int { kStatePack = 0, kVirusTmp = 1, kChemTmp = 2 };
+constexpr std::array<std::size_t, 3> kStreamSlotBytes = {
+    kStatePackBytes, sizeof(float), sizeof(float)};
+static_assert(spmd::bytes_per_face_slot(kStreamSlotBytes) ==
+                  perfmodel::kCpuPgasBytesPerFaceSlot,
+              "CPU halo channels and the memory model disagree");
 
 /// Bytes of one voxel's full state record — epi_state(1) + epi_timer(4) +
 /// tcell(1) + tcell_timer(4) + tcell_bind(4) + virus(4) + chem(4) +
@@ -63,7 +68,7 @@ class CpuRank {
       : rank_(rank), params_(params),
         grid_(params.dim_x, params.dim_y, params.dim_z),
         sub_(dec.sub(rank.id())), rng_(params.seed), registry_(registry),
-        ledger_(ledger) {
+        ledger_(ledger), halo_(rank, sub_, kStreamSlotBytes) {
     registry_[static_cast<std::size_t>(rank.id())] = this;
     // 2D or 3D: the rank decomposition cuts x/y and keeps z whole (like
     // the original SIMCoV-CPU's 2D decomposition of a 3D volume), so all
@@ -139,8 +144,6 @@ class CpuRank {
       if (!sub_.contains(c)) continue;
       virus_[static_cast<std::size_t>(lidx_of(c))] = params_.initial_virus;
     }
-
-    register_channels();
   }
 
   // Non-copyable: peers hold pointers to us through the registry.
@@ -151,7 +154,7 @@ class CpuRank {
   /// is fully populated (one barrier after construction).
   void initialize() {
     obs::ScopedSpan span("initialize", rank_.id());
-    exchange_state_halo();
+    exchange_state_halo();  // activates boundary voxels next to live ghosts
     for (std::int32_t z = 0; z < dz_; ++z) {
       for (std::int32_t y = 0; y < h_; ++y) {
         for (std::int32_t x = 0; x < w_; ++x) {
@@ -161,7 +164,6 @@ class CpuRank {
         }
       }
     }
-    scan_ghosts_for_activation();
     std::sort(active_list_.begin(), active_list_.end());
   }
 
@@ -177,7 +179,6 @@ class CpuRank {
     record_phase(perfmodel::Phase::kConcentrations);
     rebuild_active_list();
     exchange_state_halo();
-    scan_ghosts_for_activation();
     record_phase(perfmodel::Phase::kHalo);
     phase_reduce(stats);
     record_phase(perfmodel::Phase::kReduceStats);
@@ -211,13 +212,7 @@ class CpuRank {
       shape.w = w_;
       shape.h = h_;
       shape.dz = dz_;
-      for (int f = 0; f < kNumFaces; ++f) {
-        if (sub_.neighbour[static_cast<std::size_t>(f)] < 0) continue;
-        const std::size_t len2d = (f == kFaceXNeg || f == kFaceXPos)
-                                      ? static_cast<std::size_t>(h_)
-                                      : static_cast<std::size_t>(w_);
-        shape.face_lens.push_back(len2d * static_cast<std::size_t>(dz_));
-      }
+      shape.face_lens = halo_.face_lens();
       rep.mem_modeled_by_category = perfmodel::cpu_rank_memory(shape);
     }
     return rep;
@@ -255,6 +250,9 @@ class CpuRank {
     // x in [-1, w_], y in [-1, h_] (per-plane ghost ring); z in [0, dz_).
     return z * plane_ + (y + 1) * pw_ + (x + 1);
   }
+  std::int32_t lidx(const spmd::StripCoord& c) const {
+    return lidx(c.x, c.y, c.z);
+  }
   std::int32_t lidx_of(const Coord& c) const {
     return lidx(c.x - sub_.origin.x, c.y - sub_.origin.y, c.z);
   }
@@ -270,52 +268,6 @@ class CpuRank {
     return {rem % pw_ - 1, rem / pw_ - 1, z};
   }
   bool owns_global(const Coord& c) const { return sub_.contains(c); }
-
-  // ---- setup ---------------------------------------------------------------
-  void register_channels() {
-    for (int f = 0; f < kNumFaces; ++f) {
-      if (sub_.neighbour[static_cast<std::size_t>(f)] < 0) continue;
-      const std::size_t len = face_len(f);
-      rank_.register_channel(channel_of(f, kStatePack), len * kStatePackBytes);
-      rank_.register_channel(channel_of(f, kVirusTmp), len * sizeof(float));
-      rank_.register_channel(channel_of(f, kChemTmp), len * sizeof(float));
-    }
-  }
-
-  std::size_t face_len2d(int face) const {
-    return (face == kFaceXNeg || face == kFaceXPos)
-               ? static_cast<std::size_t>(h_)
-               : static_cast<std::size_t>(w_);
-  }
-  /// Strip length of a face: one row per z plane.
-  std::size_t face_len(int face) const {
-    return face_len2d(face) * static_cast<std::size_t>(dz_);
-  }
-
-  /// The i-th local voxel of this rank's boundary slab along `face`
-  /// (i enumerates z-major: plane z = i / face_len2d).
-  std::int32_t boundary_idx(int face, std::size_t i) const {
-    const auto z = static_cast<std::int32_t>(i / face_len2d(face));
-    const auto j = static_cast<std::int32_t>(i % face_len2d(face));
-    switch (face) {
-      case kFaceXNeg: return lidx(0, j, z);
-      case kFaceXPos: return lidx(w_ - 1, j, z);
-      case kFaceYNeg: return lidx(j, 0, z);
-      default: return lidx(j, h_ - 1, z);
-    }
-  }
-  /// The i-th ghost voxel just outside `face`.
-  std::int32_t ghost_idx(int face, std::size_t i) const {
-    const auto z = static_cast<std::int32_t>(i / face_len2d(face));
-    const auto j = static_cast<std::int32_t>(i % face_len2d(face));
-    switch (face) {
-      case kFaceXNeg: return lidx(-1, j, z);
-      case kFaceXPos: return lidx(w_, j, z);
-      case kFaceYNeg: return lidx(j, -1, z);
-      default: return lidx(j, h_, z);
-    }
-  }
-  static int opposite(int face) { return face ^ 1; }
 
   // ---- active list ----------------------------------------------------------
   bool is_active_voxel(std::int32_t v) const {
@@ -368,87 +320,55 @@ class CpuRank {
   }
 
   // ---- halo exchange ----------------------------------------------------------
+  /// End-of-step state strips (epi, virus, chem) into the ghosts; a live
+  /// ghost activates the own voxel next to it.
   void exchange_state_halo() {
-    std::vector<std::byte> buf;
-    for (int f = 0; f < kNumFaces; ++f) {
-      const int nb = sub_.neighbour[static_cast<std::size_t>(f)];
-      if (nb < 0) continue;
-      const std::size_t len = face_len(f);
-      buf.resize(len * kStatePackBytes);
-      for (std::size_t i = 0; i < len; ++i) {
-        const std::size_t v = static_cast<std::size_t>(boundary_idx(f, i));
-        std::byte* p = buf.data() + i * kStatePackBytes;
+    halo_.exchange(kStatePack, kStatePackBytes,
+                   [&](int f, std::span<std::byte> out) {
+      for (std::size_t i = 0; i < halo_.face_len(f); ++i) {
+        const auto v = static_cast<std::size_t>(lidx(halo_.boundary(f, i)));
+        std::byte* p = out.data() + i * kStatePackBytes;
         p[0] = static_cast<std::byte>(epi_state_[v]);
         std::memcpy(p + 1, &virus_[v], sizeof(float));
         std::memcpy(p + 5, &chem_[v], sizeof(float));
       }
-      rank_.put(nb, channel_of(opposite(f), kStatePack), buf);
-    }
-    rank_.barrier();
-    for (int f = 0; f < kNumFaces; ++f) {
-      const int nb = sub_.neighbour[static_cast<std::size_t>(f)];
-      if (nb < 0) continue;
-      const std::size_t len = face_len(f);
-      auto data = rank_.channel(channel_of(f, kStatePack));
-      for (std::size_t i = 0; i < len; ++i) {
-        const std::size_t v = static_cast<std::size_t>(ghost_idx(f, i));
-        const std::byte* p = data.data() + i * kStatePackBytes;
+    }, [&](int f, std::span<const std::byte> in) {
+      for (std::size_t i = 0; i < halo_.face_len(f); ++i) {
+        const auto v = static_cast<std::size_t>(lidx(halo_.ghost(f, i)));
+        const std::byte* p = in.data() + i * kStatePackBytes;
         epi_state_[v] = static_cast<EpiState>(p[0]);
         std::memcpy(&virus_[v], p + 1, sizeof(float));
         std::memcpy(&chem_[v], p + 5, sizeof(float));
+        if (virus_[v] > 0.0f || chem_[v] > 0.0f ||
+            transient_epi(epi_state_[v])) {
+          const spmd::StripCoord c = halo_.boundary(f, i);
+          mark_active(c.x, c.y, c.z);
+        }
       }
-    }
-    rank_.barrier();
+    });
   }
 
-  void exchange_tmp_halo(int kind) {
-    std::vector<float> buf;
-    for (int f = 0; f < kNumFaces; ++f) {
-      const int nb = sub_.neighbour[static_cast<std::size_t>(f)];
-      if (nb < 0) continue;
-      const std::size_t len = face_len(f);
-      buf.resize(len);
-      for (std::size_t i = 0; i < len; ++i) {
-        buf[i] = tmp_[static_cast<std::size_t>(boundary_idx(f, i))];
+  /// Boundary tmp strips into the ghosts; a non-zero ghost activates the
+  /// own voxel next to it for this step's diffusion pass.
+  void exchange_tmp_halo(int stream) {
+    halo_.exchange(stream, sizeof(float),
+                   [&](int f, std::span<std::byte> out) {
+      for (std::size_t i = 0; i < halo_.face_len(f); ++i) {
+        const float x =
+            tmp_[static_cast<std::size_t>(lidx(halo_.boundary(f, i)))];
+        std::memcpy(out.data() + i * sizeof(float), &x, sizeof(float));
       }
-      rank_.put(nb, channel_of(opposite(f), kind),
-                std::as_bytes(std::span<const float>(buf)));
-    }
-    rank_.barrier();
-    for (int f = 0; f < kNumFaces; ++f) {
-      const int nb = sub_.neighbour[static_cast<std::size_t>(f)];
-      if (nb < 0) continue;
-      const std::size_t len = face_len(f);
-      auto data = rank_.channel(channel_of(f, kind));
-      for (std::size_t i = 0; i < len; ++i) {
+    }, [&](int f, std::span<const std::byte> in) {
+      for (std::size_t i = 0; i < halo_.face_len(f); ++i) {
         float x;
-        std::memcpy(&x, data.data() + i * sizeof(float), sizeof(float));
-        const std::size_t v = static_cast<std::size_t>(ghost_idx(f, i));
-        tmp_[v] = x;
-        // A neighbour's boundary just became non-zero: the adjacent own
-        // voxel must join this step's diffusion pass (ghost activation).
+        std::memcpy(&x, in.data() + i * sizeof(float), sizeof(float));
+        tmp_[static_cast<std::size_t>(lidx(halo_.ghost(f, i)))] = x;
         if (x > 0.0f) {
-          const auto c = local_xyz(boundary_idx(f, i));
+          const spmd::StripCoord c = halo_.boundary(f, i);
           mark_active(c.x, c.y, c.z);
         }
       }
-    }
-    rank_.barrier();
-  }
-
-  void scan_ghosts_for_activation() {
-    for (int f = 0; f < kNumFaces; ++f) {
-      if (sub_.neighbour[static_cast<std::size_t>(f)] < 0) continue;
-      const std::size_t len = face_len(f);
-      for (std::size_t i = 0; i < len; ++i) {
-        const std::size_t g = static_cast<std::size_t>(ghost_idx(f, i));
-        if (virus_[g] > 0.0f || chem_[g] > 0.0f ||
-            transient_epi(epi_state_[g])) {
-          const auto c = local_xyz(boundary_idx(f, i));
-          mark_active(c.x, c.y, c.z);
-        }
-      }
-    }
+    });
   }
 
   // ---- phases -----------------------------------------------------------------
@@ -674,7 +594,7 @@ class CpuRank {
   /// (diffuse_voxel_scalar).
   void run_field(util::aligned_vector<float>& field, bool is_virus,
                  double production, double decay, double diffusion,
-                 double floor_eps, int tmp_kind) {
+                 double floor_eps, int tmp_stream) {
     // Pass 1: production + decay into tmp (tmp is all-zero elsewhere).
     // No neighbours involved, so every span vectorizes with no peel.
     for (std::size_t k = 0, m = active_list_.size(); k < m;) {
@@ -690,7 +610,7 @@ class CpuRank {
     // Boundary tmp strips to neighbours (may extend the active list when a
     // neighbour's boundary became non-zero this step; appended entries are
     // unsorted, so they form short spans — still correct, just less fused).
-    exchange_tmp_halo(tmp_kind);
+    exchange_tmp_halo(tmp_stream);
     // Pass 2: diffusion over the (possibly extended) active list.  It reads
     // only tmp and writes only field, so in-list neighbours read
     // pre-diffusion tmp values with no staging buffer.
@@ -708,12 +628,11 @@ class CpuRank {
     for (std::int32_t v : active_list_) {
       tmp_[static_cast<std::size_t>(v)] = 0.0f;
     }
-    for (int f = 0; f < kNumFaces; ++f) {
-      if (sub_.neighbour[static_cast<std::size_t>(f)] < 0) continue;
-      for (std::size_t i = 0; i < face_len(f); ++i) {
-        tmp_[static_cast<std::size_t>(ghost_idx(f, i))] = 0.0f;
+    halo_.for_each_live_face([&](int f, int) {
+      for (std::size_t i = 0; i < halo_.face_len(f); ++i) {
+        tmp_[static_cast<std::size_t>(lidx(halo_.ghost(f, i)))] = 0.0f;
       }
-    }
+    });
     work_.cpu_list_ops += active_list_.size();
   }
 
@@ -883,6 +802,7 @@ class CpuRank {
 
   WorkCounters work_;
   std::uint64_t step_voxel_updates_ = 0;
+  spmd::Halo halo_;
 };
 
 }  // namespace

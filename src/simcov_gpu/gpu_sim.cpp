@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <cstring>
 #include <span>
+#include <tuple>
 
 #include "core/grid.hpp"
 #include "core/rules.hpp"
@@ -16,6 +16,7 @@
 #include "perfmodel/mem_model.hpp"
 #include "simcov_gpu/layout.hpp"
 #include "simcov_gpu/tiles.hpp"
+#include "spmd/halo.hpp"
 #include "util/error.hpp"
 
 namespace simcov::gpu {
@@ -36,7 +37,7 @@ constexpr bool transient_epi(EpiState s) {
 /// span distant SoA rows, which the paper observes as slower reductions.
 constexpr double kUntiledMemPenalty = 1.6;
 
-/// Halo payload kinds.  Channel id = face * 16 + payload.
+/// Halo payload kinds: the streams of the rank's spmd::Halo.
 enum Payload : int {
   kPIntentKind = 0,
   kPIntentTarget,
@@ -53,10 +54,28 @@ enum Payload : int {
   kPChem,
   kNumPayloads
 };
-constexpr int channel_of(int face, int payload) { return face * 16 + payload; }
+
+/// Every payload channel is a u64 wide per face slot, whatever it carries.
+constexpr std::array<std::size_t, kNumPayloads> kPayloadSlotBytes = {
+    8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8};
+static_assert(spmd::bytes_per_face_slot(kPayloadSlotBytes) ==
+                  perfmodel::kGpuPgasBytesPerFaceSlot,
+              "GPU halo channels and the memory model disagree");
 
 enum class StripSide { kBoundary, kGhost };
 enum class MergeMode { kOverwrite, kMax };
+
+/// Host <-> device staging for halo strips: one device buffer per payload
+/// element type, looked up by type.
+template <typename... Ts>
+struct StagingSet {
+  static constexpr std::size_t kBytesPerSlot = (sizeof(Ts) + ...);
+  std::tuple<gpusim::DeviceBuffer<Ts>...> bufs;
+};
+using Staging = StagingSet<std::uint8_t, std::uint32_t, std::uint64_t, float>;
+static_assert(Staging::kBytesPerSlot ==
+                  perfmodel::kGpuHaloStagingBytesPerSlot,
+              "GPU halo staging and the memory model disagree");
 
 /// Device-side statistics slots (§3.3): [virus, chem, epi x6, tcells].
 constexpr std::size_t kNumDevStats = 2 + kNumEpiStates + 1;
@@ -69,7 +88,8 @@ class GpuRank {
           spmd::StepLedger& ledger)
       : rank_(rank), params_(params),
         grid_(params.dim_x, params.dim_y, params.dim_z),
-        sub_(dec.sub(rank.id())), rng_(params.seed), variant_(options.variant),
+        sub_(dec.sub(rank.id())), halo_(rank, sub_, kPayloadSlotBytes),
+        rng_(params.seed), variant_(options.variant),
         lay_(sub_.extent.x, sub_.extent.y, params.tile_side),
         tiles_(lay_, options.variant.memory_tiling),
         // Deferred reporting: a rank thread that threw mid-step would
@@ -102,10 +122,10 @@ class GpuRank {
                      "sweep_flags"),
         stats_dev_(dev_, kNumDevStats, 0.0, "stats_dev"),
         extrav_dev_(dev_, 1, 0, "extrav"),
-        stage_u8_(dev_, stage_len(), 0, "stage_u8"),
-        stage_u32_(dev_, stage_len(), 0, "stage_u32"),
-        stage_u64_(dev_, stage_len(), 0, "stage_u64"),
-        stage_f32_(dev_, stage_len(), 0.0f, "stage_f32") {
+        stage_{{DeviceBuffer<std::uint8_t>(dev_, stage_len(), 0, "stage_u8"),
+                DeviceBuffer<std::uint32_t>(dev_, stage_len(), 0, "stage_u32"),
+                DeviceBuffer<std::uint64_t>(dev_, stage_len(), 0, "stage_u64"),
+                DeviceBuffer<float>(dev_, stage_len(), 0.0f, "stage_f32")}} {
     SIMCOV_REQUIRE(params_.dim_z == 1,
                    "the parallel backends support 2D simulations");
     w_ = sub_.extent.x;
@@ -114,7 +134,6 @@ class GpuRank {
     reduce_block_ = std::bit_floor(static_cast<unsigned>(params_.block_dim));
 
     upload_initial_state(foi, empties);
-    register_channels();
   }
 
   GpuRank(const GpuRank&) = delete;
@@ -229,11 +248,7 @@ class GpuRank {
       shape.w = w_;
       shape.h = h_;
       shape.tile_side = params_.tile_side;
-      for (int f = 0; f < kNumFaces; ++f) {
-        if (sub_.neighbour[static_cast<std::size_t>(f)] >= 0) {
-          shape.face_lens.push_back(face_len(f));
-        }
-      }
+      shape.face_lens = halo_.face_lens();
       rep.mem_modeled_by_category = perfmodel::gpu_rank_memory(shape);
     }
     return rep;
@@ -250,30 +265,6 @@ class GpuRank {
     return static_cast<std::size_t>(
         std::max(sub_.extent.x, sub_.extent.y));
   }
-  std::size_t face_len(int face) const {
-    return (face == kFaceXNeg || face == kFaceXPos)
-               ? static_cast<std::size_t>(h_)
-               : static_cast<std::size_t>(w_);
-  }
-  void boundary_xy(int face, std::uint32_t i, std::int32_t& x,
-                   std::int32_t& y) const {
-    switch (face) {
-      case kFaceXNeg: x = 0; y = static_cast<std::int32_t>(i); break;
-      case kFaceXPos: x = w_ - 1; y = static_cast<std::int32_t>(i); break;
-      case kFaceYNeg: x = static_cast<std::int32_t>(i); y = 0; break;
-      default: x = static_cast<std::int32_t>(i); y = h_ - 1; break;
-    }
-  }
-  void ghost_xy(int face, std::uint32_t i, std::int32_t& x,
-                std::int32_t& y) const {
-    switch (face) {
-      case kFaceXNeg: x = -1; y = static_cast<std::int32_t>(i); break;
-      case kFaceXPos: x = w_; y = static_cast<std::int32_t>(i); break;
-      case kFaceYNeg: x = static_cast<std::int32_t>(i); y = -1; break;
-      default: x = static_cast<std::int32_t>(i); y = h_; break;
-    }
-  }
-  static int opposite(int face) { return face ^ 1; }
 
   LaunchConfig tile_launch(const char* name) const {
     const std::uint64_t items = static_cast<std::uint64_t>(
@@ -320,16 +311,6 @@ class GpuRank {
     upload_active_tiles();
   }
 
-  void register_channels() {
-    for (int f = 0; f < kNumFaces; ++f) {
-      if (sub_.neighbour[static_cast<std::size_t>(f)] < 0) continue;
-      const std::size_t len = face_len(f);
-      for (int p = 0; p < kNumPayloads; ++p) {
-        rank_.register_channel(channel_of(f, p), len * sizeof(std::uint64_t));
-      }
-    }
-  }
-
   void upload_active_tiles() {
     const auto& list = tiles_.active_list();
     if (!list.empty()) {
@@ -338,72 +319,47 @@ class GpuRank {
     }
   }
 
-  // ---- generic strip exchange ------------------------------------------------------
-  template <typename T>
-  DeviceBuffer<T>& stage();
-
-  /// Exchanges one payload on all faces: packs the send-side strip of `buf`
-  /// on the device, ships it through the PGAS channel, and unpacks into the
-  /// receive-side strip (optionally max-merging, for bid fields).
+  // ---- strip exchange ------------------------------------------------------------
+  /// Exchanges one payload on all faces (the protocol is spmd::Halo's): a
+  /// pack kernel gathers the send-side strip of `buf` into staging for each
+  /// neighbour, and an unpack kernel scatters each arrived strip into the
+  /// receive-side strip (optionally max-merging, for bid fields).  The
+  /// staging copies memcpy, so the T* views of the byte strips are safe.
   template <typename T>
   void exchange(DeviceBuffer<T>& buf, int payload, StripSide send_side,
                 MergeMode mode) {
-    std::array<std::vector<T>, kNumFaces> host;
-    DeviceBuffer<T>& stg = stage<T>();
-    for (int f = 0; f < kNumFaces; ++f) {
-      const int nb = sub_.neighbour[static_cast<std::size_t>(f)];
-      if (nb < 0) continue;
-      const std::size_t len = face_len(f);
-      // Pack kernel: strip -> staging.
+    DeviceBuffer<T>& stg = std::get<DeviceBuffer<T>>(stage_.bufs);
+    const bool send_boundary = send_side == StripSide::kBoundary;
+    halo_.exchange(payload, sizeof(T), [&](int f, std::span<std::byte> out) {
+      const std::size_t len = out.size() / sizeof(T);
       dev_.parallel_for(linear_launch(len, "halo_pack"),
                         [&, f, len](auto& t, const auto& src, const auto& dst) {
         const std::uint64_t i = t.global_index();
         if (i >= len) return;
-        std::int32_t x, y;
-        if (send_side == StripSide::kBoundary) {
-          boundary_xy(f, static_cast<std::uint32_t>(i), x, y);
-        } else {
-          ghost_xy(f, static_cast<std::uint32_t>(i), x, y);
-        }
-        dst.write(i, src.read(lay_.index(x, y)));
+        const spmd::StripCoord c =
+            send_boundary ? halo_.boundary(f, i) : halo_.ghost(f, i);
+        dst.write(i, src.read(lay_.index(c.x, c.y)));
       }, buf, stg);
-      host[static_cast<std::size_t>(f)].resize(len);
-      stg.copy_to_host(std::span<T>(host[static_cast<std::size_t>(f)].data(), len));
-      rank_.put(nb, channel_of(opposite(f), payload),
-                std::as_bytes(std::span<const T>(
-                    host[static_cast<std::size_t>(f)].data(), len)));
-    }
-    rank_.barrier();
-    for (int f = 0; f < kNumFaces; ++f) {
-      const int nb = sub_.neighbour[static_cast<std::size_t>(f)];
-      if (nb < 0) continue;
-      const std::size_t len = face_len(f);
-      auto data = rank_.channel(channel_of(f, payload));
-      std::vector<T> recv(len);
-      std::memcpy(recv.data(), data.data(), len * sizeof(T));
-      stg.copy_from_host(std::span<const T>(recv.data(), len));
-      // Unpack kernel: staging -> receive-side strip.
+      stg.copy_to_host(std::span<T>(reinterpret_cast<T*>(out.data()), len));
+    }, [&](int f, std::span<const std::byte> in) {
+      const std::size_t len = in.size() / sizeof(T);
+      stg.copy_from_host(
+          std::span<const T>(reinterpret_cast<const T*>(in.data()), len));
       dev_.parallel_for(linear_launch(len, "halo_unpack"),
                         [&, f, len](auto& t, const auto& src, const auto& dst) {
         const std::uint64_t i = t.global_index();
         if (i >= len) return;
-        std::int32_t x, y;
-        if (send_side == StripSide::kBoundary) {
-          ghost_xy(f, static_cast<std::uint32_t>(i), x, y);
-        } else {
-          boundary_xy(f, static_cast<std::uint32_t>(i), x, y);
-        }
-        const std::uint32_t slot = lay_.index(x, y);
+        const spmd::StripCoord c =
+            send_boundary ? halo_.ghost(f, i) : halo_.boundary(f, i);
+        const std::uint32_t slot = lay_.index(c.x, c.y);
         if (mode == MergeMode::kMax) {
           const T mine = dst.read(slot);
-          const T theirs = src.read(i);
-          dst.write(slot, std::max(mine, theirs));
+          dst.write(slot, std::max(mine, src.read(i)));
         } else {
           dst.write(slot, src.read(i));
         }
       }, stg, buf);
-    }
-    rank_.barrier();
+    });
   }
 
   /// The bid/intent communication of Fig. 2 ("Copy To Ghost Voxels").
@@ -1224,6 +1180,7 @@ class GpuRank {
   SimParams params_;
   Grid grid_;
   Subdomain sub_;
+  spmd::Halo halo_;
   CounterRng rng_;
   GpuVariant variant_;
   TiledLayout lay_;
@@ -1260,30 +1217,10 @@ class GpuRank {
   DeviceBuffer<std::uint8_t> sweep_flags_;
   DeviceBuffer<double> stats_dev_;
   DeviceBuffer<std::uint32_t> extrav_dev_;
-  DeviceBuffer<std::uint8_t> stage_u8_;
-  DeviceBuffer<std::uint32_t> stage_u32_;
-  DeviceBuffer<std::uint64_t> stage_u64_;
-  DeviceBuffer<float> stage_f32_;
+  Staging stage_;
 
   gpusim::DeviceStats dev_snapshot_;
 };
-
-template <>
-DeviceBuffer<std::uint8_t>& GpuRank::stage<std::uint8_t>() {
-  return stage_u8_;
-}
-template <>
-DeviceBuffer<std::uint32_t>& GpuRank::stage<std::uint32_t>() {
-  return stage_u32_;
-}
-template <>
-DeviceBuffer<std::uint64_t>& GpuRank::stage<std::uint64_t>() {
-  return stage_u64_;
-}
-template <>
-DeviceBuffer<float>& GpuRank::stage<float>() {
-  return stage_f32_;
-}
 
 }  // namespace
 

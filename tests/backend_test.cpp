@@ -228,6 +228,41 @@ TEST(GpuSim, RunToRunReproducible) {
 }
 
 // ---------------------------------------------------------------------------
+// Halo traffic: the message structure on the wire, pinned.  Both backends
+// exchange strips through spmd::Halo; a change to its protocol (batching,
+// channel reuse, barrier placement) shows up here as a count change, not
+// only in the CI-only bench baselines.
+// ---------------------------------------------------------------------------
+
+TEST(HaloTraffic, GpuTwoByTwoPutsBytesAndBarriersArePinned) {
+  const SimParams p = small();
+  gpu::GpuSimOptions opt;
+  opt.num_ranks = 4;
+  const auto c = gpu::run_gpu_sim(p, foi_for(p), opt).comm_total();
+  // 4 ranks x 2 live faces x (16 exchanges x 100 steps + 6 at setup).
+  EXPECT_EQ(c.puts, 12848u);
+  EXPECT_EQ(c.put_bytes, 1520256u);
+  EXPECT_EQ(c.barriers, 13676u);
+}
+
+TEST(HaloTraffic, Cpu3DPutsBytesAndBarriersArePinned) {
+  SimParams p = small();
+  p.dim_x = 24;
+  p.dim_y = 24;
+  p.dim_z = 4;
+  p.num_steps = 80;
+  const Grid g(p.dim_x, p.dim_y, p.dim_z);
+  cpu::CpuSimOptions opt;
+  opt.num_ranks = 6;
+  const auto c =
+      cpu::run_cpu_sim(p, foi_uniform_random(g, 3, p.seed), opt).comm_total();
+  // 14 live faces over the six ranks x (3 exchanges x 80 steps + 1).
+  EXPECT_EQ(c.puts, 3374u);
+  EXPECT_EQ(c.put_bytes, 788544u);
+  EXPECT_EQ(c.barriers, 5814u);
+}
+
+// ---------------------------------------------------------------------------
 // Harness
 // ---------------------------------------------------------------------------
 

@@ -155,16 +155,15 @@ TEST(CritPathReport, SharesSumToOneAndRanksBoundSumToSteps) {
   EXPECT_NEAR(bound_share, 1.0, 1e-12);
 }
 
-TEST(CritPathReport, WhatIfRowsPriceRoadmapItemsSortedByImprovement) {
+TEST(CritPathReport, WhatIfRowsAreTheNamedProjectionsSortedByImprovement) {
   const auto a = two_step_accum();
   const std::vector<std::string> names = {"concentrations", "halo"};
   const auto rep = obs::build_critpath_report(a, names, {2.0, 0.5});
 
-  // Items 1 (concentrations@modeled), 3 (halo@overlapped), 4 (rebalance).
   ASSERT_EQ(rep.whatif.size(), 3u);
-  std::vector<int> items;
+  std::vector<std::string> rows;
   for (const auto& w : rep.whatif) {
-    items.push_back(w.roadmap_item);
+    rows.push_back(w.name);
     // Amdahl identities: projection never exceeds the path, speedup and
     // improvement are two views of the same ratio.
     EXPECT_GT(w.projected_s, 0.0);
@@ -174,19 +173,21 @@ TEST(CritPathReport, WhatIfRowsPriceRoadmapItemsSortedByImprovement) {
     EXPECT_GE(w.factor, 0.0);
     EXPECT_LE(w.factor, 1.0);
   }
-  std::sort(items.begin(), items.end());
-  EXPECT_EQ(items, (std::vector<int>{1, 3, 4}));
+  std::sort(rows.begin(), rows.end());
+  EXPECT_EQ(rows, (std::vector<std::string>{"concentrations@modeled",
+                                            "halo@overlapped",
+                                            "rebalance@mean"}));
   for (std::size_t i = 1; i < rep.whatif.size(); ++i) {
     EXPECT_GE(rep.whatif[i - 1].improvement, rep.whatif[i].improvement);
   }
 
   // Halo contributes 1s + 2s = 3s to the 8s path; overlapping removes it.
   for (const auto& w : rep.whatif) {
-    if (w.roadmap_item == 3) {
+    if (w.name == "halo@overlapped") {
       EXPECT_DOUBLE_EQ(w.projected_s, 8.0 - 3.0);
       EXPECT_DOUBLE_EQ(w.factor, 0.0);
     }
-    if (w.roadmap_item == 4) {
+    if (w.name == "rebalance@mean") {
       EXPECT_NEAR(w.projected_s, rep.critical_s / rep.imbalance_factor, 1e-9);
     }
   }
@@ -196,12 +197,15 @@ TEST(CritPathReport, EmptyAccumAndMissingModelDegradeGracefully) {
   obs::CritPathAccum empty;
   EXPECT_TRUE(obs::build_critpath_report(empty, {}, {}).empty());
 
-  // Without modeled costs the item-1 row is omitted; 3 and 4 survive.
+  // Without modeled costs the concentrations@modeled row is omitted; the
+  // other two survive.
   const auto a = two_step_accum();
   const auto rep = obs::build_critpath_report(
       a, {"concentrations", "halo"}, {});
   ASSERT_EQ(rep.whatif.size(), 2u);
-  for (const auto& w : rep.whatif) EXPECT_NE(w.roadmap_item, 1);
+  for (const auto& w : rep.whatif) {
+    EXPECT_NE(w.name, "concentrations@modeled");
+  }
 }
 
 // ---- full runs: bit-identity and wall reconciliation ------------------------

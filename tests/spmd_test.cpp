@@ -2,13 +2,19 @@
 // step ledger (src/spmd/step_ledger.hpp), over a toy rank simulation with
 // no backend: the toy charges fixed work samples to fixed phases, so every
 // number the driver reports can be derived by hand.
+// The halo-exchange module (src/spmd/halo.hpp) is tested the same way, with
+// tagged strips in place of simulation state.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <cstring>
 #include <string>
+#include <vector>
 
+#include "spmd/halo.hpp"
 #include "spmd/run.hpp"
 
 namespace simcov {
@@ -172,6 +178,149 @@ TEST(SpmdDriver, RankErrorComesBackAsOneErrorNamingTheRank) {
     EXPECT_EQ(what.find("rank 0:"), std::string::npos) << what;
     EXPECT_EQ(what.find("rank 2:"), std::string::npos) << what;
   }
+}
+
+// ---- spmd::Halo ------------------------------------------------------------
+
+/// One strip voxel as the halo test packs it: the sender, the face it sent
+/// along, the strip index, and the global coordinate of the boundary voxel.
+struct StripTag {
+  std::int32_t rank, face, index, gx, gy, gz;
+};
+
+/// What one rank saw over its exchanges.
+struct HaloOutcome {
+  int ghosts_checked = 0;
+  std::vector<std::string> errors;
+  std::vector<pgas::CommStats> per_exchange;  ///< comm delta of each call
+  std::uint64_t live_faces = 0;
+  std::uint64_t strip_bytes = 0;  ///< sum of face strips, in StripTag bytes
+};
+
+/// Runs three exchanges on every rank of `dec` under the PGAS discipline
+/// checker: stream 0 twice back to back (the bid stages' channel reuse),
+/// then stream 1.  Each rank packs StripTags; each unpacked ghost must hold
+/// the neighbour's boundary voxel at the same index, mirrored across the
+/// face.  run() throws if the checker recorded any violation.
+std::vector<HaloOutcome> run_halo(const Decomposition& dec) {
+  pgas::RuntimeOptions ropt;
+  ropt.obs = obs::Config{};
+  ropt.obs.pgas_check = true;
+  pgas::Runtime rt(dec.num_ranks(), ropt);
+  EXPECT_TRUE(rt.checking_enabled());
+  std::vector<HaloOutcome> out(static_cast<std::size_t>(dec.num_ranks()));
+  constexpr std::array<std::size_t, 2> kWidths = {sizeof(StripTag),
+                                                  sizeof(StripTag)};
+  rt.run([&](pgas::Rank& rank) {
+    const Subdomain& sub = dec.sub(rank.id());
+    HaloOutcome& o = out[static_cast<std::size_t>(rank.id())];
+    spmd::Halo halo(rank, sub, kWidths);
+    rank.barrier();  // every rank's channels exist before the first put
+    auto global = [&](const spmd::StripCoord& c) {
+      return Coord{sub.origin.x + c.x, sub.origin.y + c.y, sub.origin.z + c.z};
+    };
+    auto fail = [&](const std::string& what) {
+      o.errors.push_back("rank " + std::to_string(rank.id()) + ": " + what);
+    };
+    halo.for_each_live_face([&](int f, int) {
+      ++o.live_faces;
+      o.strip_bytes += halo.face_len(f) * sizeof(StripTag);
+    });
+    for (const int stream : {0, 0, 1}) {
+      const pgas::CommStats before = rank.stats();
+      halo.exchange(stream, sizeof(StripTag),
+                    [&](int f, std::span<std::byte> bytes) {
+        if (bytes.size() != halo.face_len(f) * sizeof(StripTag)) {
+          fail("pack span of the wrong size");
+          return;
+        }
+        for (std::size_t i = 0; i < halo.face_len(f); ++i) {
+          const Coord c = global(halo.boundary(f, i));
+          if (!sub.contains(c)) fail("boundary voxel outside the sub-domain");
+          const StripTag t{rank.id(), f, static_cast<std::int32_t>(i),
+                           c.x, c.y, c.z};
+          std::memcpy(bytes.data() + i * sizeof(StripTag), &t, sizeof t);
+        }
+      }, [&](int f, std::span<const std::byte> bytes) {
+        const int nb = sub.neighbour[static_cast<std::size_t>(f)];
+        for (std::size_t i = 0; i < halo.face_len(f); ++i) {
+          StripTag t;
+          std::memcpy(&t, bytes.data() + i * sizeof(StripTag), sizeof t);
+          const Coord g = global(halo.ghost(f, i));
+          if (sub.contains(g)) fail("ghost voxel inside the sub-domain");
+          if (t.rank != nb || t.face != spmd::Halo::opposite(f) ||
+              t.index != static_cast<std::int32_t>(i) || t.gx != g.x ||
+              t.gy != g.y || t.gz != g.z) {
+            fail("face " + std::to_string(f) + " ghost " + std::to_string(i) +
+                 " holds rank " + std::to_string(t.rank) + " face " +
+                 std::to_string(t.face) + " index " +
+                 std::to_string(t.index));
+          }
+          ++o.ghosts_checked;
+        }
+      });
+      o.per_exchange.push_back(rank.stats().since(before));
+    }
+  });
+  return out;
+}
+
+/// Ghost voxels the decomposition should fill: every face between two
+/// sub-domains contributes its strip on both sides.
+int expected_ghosts(const Decomposition& dec) {
+  int n = 0;
+  for (int r = 0; r < dec.num_ranks(); ++r) {
+    const Subdomain& s = dec.sub(r);
+    for (int f = 0; f < kNumFaces; ++f) {
+      if (s.neighbour[static_cast<std::size_t>(f)] < 0) continue;
+      n += (f == kFaceXNeg || f == kFaceXPos ? s.extent.y : s.extent.x) *
+           s.extent.z;
+    }
+  }
+  return n;
+}
+
+void expect_halo_contract(const Decomposition& dec) {
+  std::vector<HaloOutcome> out;
+  ASSERT_NO_THROW(out = run_halo(dec)) << "PGAS checker violations";
+  int ghosts = 0;
+  for (const HaloOutcome& o : out) {
+    for (const std::string& e : o.errors) ADD_FAILURE() << e;
+    ghosts += o.ghosts_checked;
+    ASSERT_EQ(o.per_exchange.size(), 3u);
+    for (const pgas::CommStats& d : o.per_exchange) {
+      EXPECT_EQ(d.puts, o.live_faces);
+      EXPECT_EQ(d.put_bytes, o.strip_bytes);
+      EXPECT_EQ(d.barriers, 2u);
+    }
+  }
+  EXPECT_EQ(ghosts, 3 * expected_ghosts(dec));
+}
+
+TEST(SpmdHalo, SingleRankHasNoFacesAndStillBarriersTwice) {
+  const Grid g(8, 8, 1);
+  expect_halo_contract(Decomposition(g, 1, 1));
+}
+
+TEST(SpmdHalo, TwoByTwoGhostsMirrorNeighbourBoundaries) {
+  const Grid g(12, 10, 1);
+  expect_halo_contract(Decomposition(g, 2, 2));
+}
+
+TEST(SpmdHalo, ThreeByThreeRaggedGhostsMirrorNeighbourBoundaries) {
+  const Grid g(13, 11, 1);
+  expect_halo_contract(Decomposition(g, 3, 3));
+}
+
+TEST(SpmdHalo, RaggedThreeRankGhostsMirrorNeighbourBoundaries) {
+  const Grid g(37, 29, 1);
+  const Decomposition dec(g, 3, Decomposition::Kind::kBlock2D);
+  expect_halo_contract(dec);
+}
+
+TEST(SpmdHalo, TwoPlaneStripsAreZMajor) {
+  const Grid g(9, 7, 2);
+  expect_halo_contract(Decomposition(g, 2, 2));
 }
 
 }  // namespace

@@ -339,8 +339,11 @@ CRITPATH_KEYS = [
 CRITPATH_PHASE_KEYS = ["phase", "critical_s", "critical_share",
                        "attributed_wait_s", "mean_s", "max_s"]
 CRITPATH_RANK_KEYS = ["rank", "steps_bound", "share"]
-CRITPATH_WHATIF_KEYS = ["name", "phase", "roadmap", "factor", "projected_s",
+CRITPATH_WHATIF_KEYS = ["name", "phase", "factor", "projected_s",
                         "speedup", "improvement"]
+# The what-if rows obs::build_critpath_report produces.
+CRITPATH_WHATIF_NAMES = ("concentrations@modeled", "halo@overlapped",
+                         "rebalance@mean")
 # Wall reconciliation runs twice: one-sided against measured_wall_s (the
 # critical path is inside it, but init/teardown inflate the wall on small
 # configs, so only "cannot exceed" is gated) and against the backend's own
@@ -493,9 +496,9 @@ def validate_criticalpath(cfg, cctx, log):
             log.fail(wctx, f"improvement={row['improvement']} != "
                            f"1 - projected_s/critical_s = "
                            f"{want_improvement}")
-        if row["roadmap"] not in (1, 3, 4):
-            log.fail(wctx, f"roadmap={row['roadmap']} prices no known "
-                           f"ROADMAP open item (want 1, 3 or 4)")
+        if row["name"] not in CRITPATH_WHATIF_NAMES:
+            log.fail(wctx, f"name={row['name']!r} is no known what-if row "
+                           f"(want one of {', '.join(CRITPATH_WHATIF_NAMES)})")
         if prev_improvement is not None and \
                 row["improvement"] > prev_improvement + CRITPATH_SHARE_ATOL:
             log.fail(cctx, "criticalpath.whatif rows are not sorted by "

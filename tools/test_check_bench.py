@@ -46,11 +46,11 @@ def valid_criticalpath():
             {"rank": 1, "steps_bound": 4, "share": 0.4},
         ],
         "whatif": [
-            {"name": "halo@overlapped", "phase": "halo", "roadmap": 3,
-             "factor": 0.0, "projected_s": 0.6, "speedup": 1.0 / 0.6,
+            {"name": "halo@overlapped", "phase": "halo", "factor": 0.0,
+             "projected_s": 0.6, "speedup": 1.0 / 0.6,
              "improvement": 0.4},
-            {"name": "rebalance@mean", "phase": "all", "roadmap": 4,
-             "factor": 1.0 / 1.1, "projected_s": 1.0 / 1.1,
+            {"name": "rebalance@mean", "phase": "all", "factor": 1.0 / 1.1,
+             "projected_s": 1.0 / 1.1,
              "speedup": 1.1, "improvement": 1.0 - 1.0 / 1.1},
         ],
     }
@@ -180,10 +180,11 @@ class CriticalpathValidatorTest(unittest.TestCase):
                 lambda cp: cp["whatif"][0].update({"speedup": 9.0})).failures,
             0)
 
-    def test_whatif_unknown_roadmap_item_fails(self):
+    def test_whatif_unknown_name_fails(self):
         self.assertGreater(
             self.mutate(
-                lambda cp: cp["whatif"][0].update({"roadmap": 2})).failures, 0)
+                lambda cp: cp["whatif"][0].update(
+                    {"name": "halo@batched"})).failures, 0)
 
     def test_whatif_factor_outside_unit_interval_fails(self):
         self.assertGreater(
