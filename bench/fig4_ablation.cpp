@@ -8,48 +8,66 @@
 // tiling also improves the reduction (locality); the combined version wins
 // and the gains compose roughly independently.
 
+// Wall-clock checks: `fig4_ablation --wallclock` runs each variant five
+// times (interleaved) and gates the critical-path reconciliation and the
+// what-if projections on the per-quantity medians.  Those rows depend on the
+// host's timing, so they run in the `perf` ctest configuration only
+// (fig4_wallclock_checks); the default run gates the modeled rows, which
+// are deterministic.
+
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdio>
+#include <string_view>
 
 #include "bench_common.hpp"
 
-int main() {
-  using namespace simcov;
-  bench::Reporter rep(
-      "fig4_ablation",
-      "Figure 4: SIMCoV-GPU optimization breakdown (update vs reduce)",
-      "4 V100 (ASU Agave), dense activity (1024 FOI)",
-      "4 virtual GPUs, 256^2 voxels, 16 FOI (paper's multi-focal density at 1/39 linear scale), 300 steps");
+namespace {
 
+using namespace simcov;
+
+const std::array<gpu::GpuVariant, 4> kVariants = {
+    gpu::GpuVariant::unoptimized(), gpu::GpuVariant::fast_reduction_only(),
+    gpu::GpuVariant::memory_tiling_only(), gpu::GpuVariant::combined()};
+
+harness::RunSpec fig4_spec() {
   harness::RunSpec spec;
   spec.params = bench::bench_params(256, 256, 300, 16);
   spec.area_scale = bench::kGpuAreaScale;
+  return spec;
+}
 
-  struct Row {
-    gpu::GpuVariant variant;
-    harness::BackendResult result;
-  };
-  std::vector<Row> rows;
-  for (const auto& v :
-       {gpu::GpuVariant::unoptimized(), gpu::GpuVariant::fast_reduction_only(),
-        gpu::GpuVariant::memory_tiling_only(), gpu::GpuVariant::combined()}) {
-    rows.push_back({v, rep.run_gpu(v.name(), spec, 4, v)});
+constexpr const char* kOurConfig =
+    "4 virtual GPUs, 256^2 voxels, 16 FOI (paper's multi-focal density at "
+    "1/39 linear scale), 300 steps";
+
+/// The paper's claims, on modeled seconds (deterministic).
+int modeled_checks() {
+  bench::Reporter rep(
+      "fig4_ablation",
+      "Figure 4: SIMCoV-GPU optimization breakdown (update vs reduce)",
+      "4 V100 (ASU Agave), dense activity (1024 FOI)", kOurConfig);
+  const harness::RunSpec spec = fig4_spec();
+  std::vector<harness::BackendResult> rows;
+  for (const auto& v : kVariants) {
+    rows.push_back(rep.run_gpu(v.name(), spec, 4, v));
     std::fprintf(stderr, "  ran %s\n", v.name().c_str());
   }
 
   TextTable t({"SIMCoV-GPU Version", "Update Agents (s)",
                "Reduce Statistics (s)", "Total (s)"});
-  for (const auto& r : rows) {
-    t.add_row({r.variant.name(), fmt(r.result.cost.update_agents_s()),
-               fmt(r.result.cost.reduce_stats_s()),
-               fmt(r.result.cost.total_s)});
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    t.add_row({kVariants[i].name(), fmt(rows[i].cost.update_agents_s()),
+               fmt(rows[i].cost.reduce_stats_s()),
+               fmt(rows[i].cost.total_s)});
   }
   std::printf("%s\n", t.to_string().c_str());
 
-  const auto& unopt = rows[0].result;
-  const auto& fastred = rows[1].result;
-  const auto& tiling = rows[2].result;
-  const auto& combined = rows[3].result;
+  const auto& unopt = rows[0];
+  const auto& fastred = rows[1];
+  const auto& tiling = rows[2];
+  const auto& combined = rows[3];
   rep.shape_check(
       "reductions dominate the unoptimized version",
       unopt.cost.reduce_stats_s() > unopt.cost.update_agents_s());
@@ -76,8 +94,67 @@ int main() {
       "effects are independent: combined reduce ~= fast-red reduce",
       combined.cost.reduce_stats_s() < 1.2 * fastred.cost.reduce_stats_s());
 
+  rep.finish();
+  return 0;
+}
+
+/// The median of an odd number of samples.
+double median(std::vector<double> xs) {
+  std::sort(xs.begin(), xs.end());
+  return xs[xs.size() / 2];
+}
+
+/// One variant's wall-clock quantities, each the median over the runs.
+struct Measured {
+  double critical_s = 0.0;
+  double step_tail_s = 0.0;
+  double step_loop_wall_s = 0.0;
+  std::array<double, perfmodel::kNumPhases> crit_phase_s{};
+  perfmodel::RunCost cost;  ///< modeled: identical in every run
+};
+
+/// The critical-path reconciliation and what-if rows, on host wall clock.
+int wallclock_checks() {
+  constexpr int kRuns = 5;
+  bench::Reporter rep(
+      "fig4_wallclock",
+      "Figure 4: critical-path reconciliation and what-if projections "
+      "(wall clock, median of 5 runs)",
+      "4 V100 (ASU Agave), dense activity (1024 FOI)", kOurConfig);
+  const harness::RunSpec spec = fig4_spec();
+  std::array<std::vector<harness::BackendResult>, kVariants.size()> runs;
+  for (int k = 0; k < kRuns; ++k) {
+    // Interleaved, so slow drift of the host loads every variant alike.
+    for (std::size_t i = 0; i < kVariants.size(); ++i) {
+      const gpu::GpuVariant& v = kVariants[i];
+      runs[i].push_back(rep.run_gpu(
+          v.name() + " run " + std::to_string(k + 1), spec, 4, v));
+      std::fprintf(stderr, "  ran %s (%d/%d)\n", v.name().c_str(), k + 1,
+                   kRuns);
+    }
+  }
+  std::array<Measured, kVariants.size()> rows;
+  for (std::size_t i = 0; i < kVariants.size(); ++i) {
+    const auto med = [&](auto quantity) {
+      std::vector<double> xs;
+      for (const auto& r : runs[i]) xs.push_back(quantity(r));
+      return median(std::move(xs));
+    };
+    Measured& m = rows[i];
+    m.critical_s =
+        med([](const auto& r) { return r.critpath.critical_ns() / 1e9; });
+    m.step_tail_s = med([](const auto& r) { return r.step_tail_s; });
+    m.step_loop_wall_s =
+        med([](const auto& r) { return r.step_loop_wall_s; });
+    for (int p = 0; p < perfmodel::kNumPhases; ++p) {
+      m.crit_phase_s[static_cast<std::size_t>(p)] = med(
+          [p](const auto& r) { return r.critpath.crit_phase_ns(p) / 1e9; });
+    }
+    m.cost = runs[i].front().cost;
+  }
+
   // ---- CritPath reconciliation & what-if validation ----------------------
-  // rep.run_gpu forces critpath on, so every variant carries a per-step
+  // rep.run_gpu forces critpath on, so every run carries a per-step
   // binding-rank accumulator.  Two properties are gated here (this bench
   // runs 300 steps, so the step loop dominates the measured wall and the
   // strict checks are meaningful — check_bench.py only enforces the loose
@@ -93,62 +170,63 @@ int main() {
   //     ratio (the same Amdahl-over-the-critical-path arithmetic
   //     obs::build_critpath_report uses) must agree with the *measured*
   //     critical path of the other variant.  Tolerance is the modeled
-  //     class's 2% plus measurement noise between two separate wall-clock
-  //     runs.
-  const auto critical_s = [](const harness::BackendResult& r) {
-    return r.critpath.critical_ns() / 1e9;
-  };
-  for (const auto& r : rows) {
-    const double crit = critical_s(r.result);
-    const double tail = r.result.step_tail_s;
-    const double wall = r.result.step_loop_wall_s;
-    rep.metric("critical_s " + r.variant.name(), crit);
-    rep.metric("step_tail_s " + r.variant.name(), tail);
-    rep.metric("step_loop_wall_s " + r.variant.name(), wall);
+  //     class's 2% plus measurement noise between separate wall-clock runs.
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const Measured& m = rows[i];
+    const std::string name = kVariants[i].name();
+    rep.metric("critical_s " + name, m.critical_s);
+    rep.metric("step_tail_s " + name, m.step_tail_s);
+    rep.metric("step_loop_wall_s " + name, m.step_loop_wall_s);
     rep.shape_check(
-        "critical path + tail reconciles with step-loop wall (5%): " +
-            r.variant.name(),
-        wall > 0.0 && crit > 0.0 &&
-            std::fabs(wall - (crit + tail)) <= 0.05 * wall);
+        "critical path + tail reconciles with step-loop wall (5%): " + name,
+        m.step_loop_wall_s > 0.0 && m.critical_s > 0.0 &&
+            std::fabs(m.step_loop_wall_s - (m.critical_s + m.step_tail_s)) <=
+                0.05 * m.step_loop_wall_s);
   }
 
   // Amdahl projection across ablation toggles: scale the source variant's
   // per-phase critical seconds by modeled_to/modeled_from.
-  const auto project = [](const harness::BackendResult& from,
-                          const harness::BackendResult& to) {
+  const auto project = [](const Measured& from, const Measured& to) {
     double projected = 0.0;
-    for (int p = 0; p < perfmodel::kNumPhases; ++p) {
-      const double crit_p =
-          from.critpath.crit_phase_ns(p) / 1e9;
-      const double m_from = from.cost.by_phase[static_cast<std::size_t>(p)];
-      const double m_to = to.cost.by_phase[static_cast<std::size_t>(p)];
-      projected += crit_p * (m_from > 0.0 ? m_to / m_from : 1.0);
+    for (std::size_t p = 0; p < from.crit_phase_s.size(); ++p) {
+      const double m_from = from.cost.by_phase[p];
+      const double m_to = to.cost.by_phase[p];
+      projected += from.crit_phase_s[p] * (m_from > 0.0 ? m_to / m_from : 1.0);
     }
     return projected;
   };
   constexpr double kWhatIfTol = 0.02 + 0.18;  // modeled class + run noise
+  const Measured& unopt = rows[0];
   for (std::size_t i = 1; i < rows.size(); ++i) {
-    const double projected = project(unopt, rows[i].result);
-    const double actual = critical_s(rows[i].result);
-    rep.metric("whatif_projected_s " + rows[i].variant.name(), projected);
+    const std::string name = kVariants[i].name();
+    const double projected = project(unopt, rows[i]);
+    const double actual = rows[i].critical_s;
+    rep.metric("whatif_projected_s " + name, projected);
     rep.shape_check(
         "what-if projection from Unoptimized agrees with measured "
-        "critical path: " + rows[i].variant.name(),
+        "critical path: " + name,
         actual > 0.0 &&
             std::fabs(projected - actual) <= kWhatIfTol * actual);
     // Direction must also agree — but only when the projected improvement
     // is large enough to rise above run noise (Fast Reduction only speeds
     // the small reduce_stats phase, a few percent of the path, which a
     // noisy run can wash out entirely).
-    const double unopt_crit = critical_s(unopt);
     const double projected_improvement =
-        unopt_crit > 0.0 ? 1.0 - projected / unopt_crit : 0.0;
+        unopt.critical_s > 0.0 ? 1.0 - projected / unopt.critical_s : 0.0;
     rep.shape_check(
-        "measured critical path improves as the model predicts: " +
-            rows[i].variant.name(),
+        "measured critical path improves as the model predicts: " + name,
         std::fabs(projected_improvement) < 0.10 ||
-            (projected < unopt_crit) == (actual < unopt_crit));
+            (projected < unopt.critical_s) == (actual < unopt.critical_s));
   }
   rep.finish();
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  if (argc > 1 && std::string_view(argv[1]) == "--wallclock") {
+    return wallclock_checks();
+  }
+  return modeled_checks();
 }

@@ -58,10 +58,14 @@ constexpr std::size_t kGpuStatsBytes = 9 * 8 + 4;
 /// (gpu_sim.cpp Payload enum) of sizeof(u64) each.
 constexpr std::size_t kGpuPgasBytesPerFaceSlot = 13 * 8;
 
-/// Bytes per padded voxel across the 11 CPU grids: epi_state(1) +
+/// Bytes per padded voxel across the 10 CPU byte grids: epi_state(1) +
 /// epi_timer(4) + tcell(1) + tcell_timer(4) + tcell_bind(4) + virus(4) +
-/// chem(4) + tmp(4) + occupancy(1) + active(1) + in_list(1).
-constexpr std::size_t kCpuGridBytesPerVoxel = 29;
+/// chem(4) + tmp(4) + occupancy(1) + in_list(1).
+constexpr std::size_t kCpuGridBytesPerVoxel = 28;
+
+/// CPU bit grids over the padded volume, one 64-bit word per 64 voxels:
+/// the active-set bitmap and its interior mask.
+constexpr std::size_t kCpuBitGrids = 2;
 
 /// PGAS channel bytes per face slot on the CPU backend: state pack
 /// (epi 1 + virus 4 + chem 4) + virus tmp (float) + chem tmp (float).
@@ -107,10 +111,10 @@ struct CpuRankMemShape {
   std::vector<std::size_t> face_lens;  ///< live faces only ((w or h) * dz)
 };
 
-/// Predicted category -> bytes for one CPU rank: 11 grids over the padded
-/// volume — rows are (w+2) ghost-inclusive columns rounded up to a cache
-/// line (util::pad_stride, the vectorized-sweep row stride) by (h+2) rows
-/// by dz planes — plus the per-face PGAS channels.
+/// Predicted category -> bytes for one CPU rank: 10 byte grids and 2 bit
+/// grids over the padded volume — rows are (w+2) ghost-inclusive columns
+/// rounded up to a cache line (util::pad_stride, the vectorized-sweep row
+/// stride) by (h+2) rows by dz planes — plus the per-face PGAS channels.
 inline std::map<std::string, double> cpu_rank_memory(
     const CpuRankMemShape& s) {
   const std::size_t padded =
@@ -119,7 +123,9 @@ inline std::map<std::string, double> cpu_rank_memory(
   std::size_t face_slots = 0;
   for (const std::size_t len : s.face_lens) face_slots += len;
   std::map<std::string, double> out;
-  out["host_grid"] = static_cast<double>(padded * kCpuGridBytesPerVoxel);
+  const std::size_t bit_grid_bytes = (padded + 63) / 64 * sizeof(std::uint64_t);
+  out["host_grid"] = static_cast<double>(padded * kCpuGridBytesPerVoxel +
+                                         kCpuBitGrids * bit_grid_bytes);
   if (face_slots != 0) {
     out["pgas"] = static_cast<double>(face_slots * kCpuPgasBytesPerFaceSlot);
   }

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstring>
-#include <mutex>
 #include <span>
 #include <unordered_map>
 
@@ -17,7 +17,6 @@
 #include "perfmodel/mem_model.hpp"
 #include "spmd/halo.hpp"
 #include "util/align.hpp"
-#include "util/error.hpp"
 
 namespace simcov::cpu {
 
@@ -96,8 +95,17 @@ class CpuRank {
     chem_.assign(n, 0.0f);
     tmp_.assign(n, 0.0f);
     occupancy_.assign(n, 0);
-    active_.assign(n, 0);
     in_list_.assign(n, 0);
+    interior_bits_ = active_bits_ = std::vector<std::uint64_t>((n + 63) / 64);
+    for (std::int32_t z = 0; z < dz_; ++z) {
+      for (std::int32_t y = 0; y < h_; ++y) {
+        for (std::int32_t x = 0; x < w_; ++x) {
+          const auto v = static_cast<std::size_t>(lidx(x, y, z));
+          interior_bits_[v / 64] |= std::uint64_t{1} << (v % 64);
+          epi_state_[v] = EpiState::kHealthy;
+        }
+      }
+    }
     // Spare all-zero row: the -z/+z neighbour row at a global z edge (the
     // padded planes carry x/y ghosts only; see diffuse_span).
     zeros_row_.assign(static_cast<std::size_t>(pw_), 0.0f);
@@ -114,16 +122,10 @@ class CpuRank {
       ms->adjust("host.chem", 0, n * sizeof(float));
       ms->adjust("host.tmp", 0, n * sizeof(float));
       ms->adjust("host.occupancy", 0, n * sizeof(std::uint8_t));
-      ms->adjust("host.active", 0, n * sizeof(std::uint8_t));
       ms->adjust("host.in_list", 0, n * sizeof(std::uint8_t));
-    }
-    for (std::int32_t z = 0; z < dz_; ++z) {
-      for (std::int32_t y = 0; y < h_; ++y) {
-        for (std::int32_t x = 0; x < w_; ++x) {
-          epi_state_[static_cast<std::size_t>(lidx(x, y, z))] =
-              EpiState::kHealthy;
-        }
-      }
+      const auto bit_bytes = active_bits_.size() * sizeof(std::uint64_t);
+      ms->adjust("host.active_bits", 0, bit_bytes);
+      ms->adjust("host.interior_bits", 0, bit_bytes);
     }
     epi_counts_[static_cast<std::size_t>(EpiState::kHealthy)] =
         static_cast<std::uint64_t>(w_) * static_cast<std::uint64_t>(h_) *
@@ -158,13 +160,12 @@ class CpuRank {
     for (std::int32_t z = 0; z < dz_; ++z) {
       for (std::int32_t y = 0; y < h_; ++y) {
         for (std::int32_t x = 0; x < w_; ++x) {
-          if (is_active_voxel(lidx(x, y, z))) {
-            mark_active_with_neighbours(x, y, z);
-          }
+          const std::int32_t v = lidx(x, y, z);
+          if (is_active_voxel(v)) set_with_neighbours(v);
         }
       }
     }
-    std::sort(active_list_.begin(), active_list_.end());
+    emit_active_list();
   }
 
   StepStats step() {
@@ -267,56 +268,61 @@ class CpuRank {
     const std::int32_t rem = v % plane_;
     return {rem % pw_ - 1, rem / pw_ - 1, z};
   }
-  bool owns_global(const Coord& c) const { return sub_.contains(c); }
 
   // ---- active list ----------------------------------------------------------
-  bool is_active_voxel(std::int32_t v) const {
-    const std::size_t i = static_cast<std::size_t>(v);
+  bool is_active_voxel(std::size_t i) const {
     return virus_[i] > 0.0f || chem_[i] > 0.0f || tcell_[i] != 0 ||
            transient_epi(epi_state_[i]);
   }
 
-  void mark_active(std::int32_t x, std::int32_t y, std::int32_t z) {
-    if (x < 0 || x >= w_ || y < 0 || y >= h_ || z < 0 || z >= dz_) {
-      return;  // ghosts aren't ours; z never leaves the rank
-    }
-    const std::size_t v = static_cast<std::size_t>(lidx(x, y, z));
-    if (!active_[v]) {
-      active_[v] = 1;
-      active_list_.push_back(static_cast<std::int32_t>(v));
-      ++work_.cpu_list_ops;
+  /// A halo unpack's activation: test-and-set, appended unsorted.
+  void mark_active(std::int32_t v) {
+    std::uint64_t& word = active_bits_[static_cast<std::uint32_t>(v) / 64];
+    const std::uint64_t bit = std::uint64_t{1} << (v % 64);
+    if (word & bit) return;
+    word |= bit;
+    active_list_.push_back(v);
+    ++work_.cpu_list_ops;
+  }
+
+  /// Sets the bits of own voxel `v` and its face neighbours: the ghost ring
+  /// absorbs v±1 and v±pw_, and v±plane_ outside [0, n) is past a z edge.
+  void set_with_neighbours(std::int32_t v) {
+    const auto set = [this](std::uint32_t u) {
+      active_bits_[u / 64] |= std::uint64_t{1} << (u % 64);
+    };
+    set(v - 1);
+    set(v);
+    set(v + 1);
+    set(v - pw_);
+    set(v + pw_);
+    if (v >= plane_) set(v - plane_);
+    if (v + plane_ < static_cast<std::int32_t>(tmp_.size())) set(v + plane_);
+  }
+
+  /// Drops ghost and pad bits, then lists the set bits in ascending order.
+  void emit_active_list() {
+    active_list_.clear();
+    for (std::size_t i = 0; i < active_bits_.size(); ++i) {
+      for (std::uint64_t b = active_bits_[i] &= interior_bits_[i]; b != 0;
+           b &= b - 1) {
+        active_list_.push_back(static_cast<std::int32_t>(i * 64) +
+                               std::countr_zero(b));
+      }
     }
   }
 
-  void mark_active_with_neighbours(std::int32_t x, std::int32_t y,
-                                   std::int32_t z) {
-    mark_active(x, y, z);
-    mark_active(x - 1, y, z);
-    mark_active(x + 1, y, z);
-    mark_active(x, y - 1, z);
-    mark_active(x, y + 1, z);
-    if (dz_ > 1) {
-      mark_active(x, y, z - 1);
-      mark_active(x, y, z + 1);
-    }
-  }
-
+  /// List ops: old.size() to scan, 2 per voxel of the new sorted list.
   void rebuild_active_list() {
-    std::vector<std::int32_t> old;
-    old.swap(active_list_);
-    for (std::int32_t v : old) active_[static_cast<std::size_t>(v)] = 0;
-    work_.cpu_list_ops += old.size();
-    for (std::int32_t v : old) {
-      if (!is_active_voxel(v)) continue;
-      const auto c = local_xyz(v);
-      mark_active_with_neighbours(c.x, c.y, c.z);
-    }
-    for (std::int32_t v : tcell_list_) {
-      const auto c = local_xyz(v);
-      mark_active_with_neighbours(c.x, c.y, c.z);
-    }
-    std::sort(active_list_.begin(), active_list_.end());
+    obs::ScopedSpan span("active_list", rank_.id());
     work_.cpu_list_ops += active_list_.size();
+    std::fill(active_bits_.begin(), active_bits_.end(), 0);
+    for (std::int32_t v : active_list_) {
+      if (is_active_voxel(v)) set_with_neighbours(v);
+    }
+    for (std::int32_t v : tcell_list_) set_with_neighbours(v);
+    emit_active_list();
+    work_.cpu_list_ops += 2 * active_list_.size();
   }
 
   // ---- halo exchange ----------------------------------------------------------
@@ -339,11 +345,7 @@ class CpuRank {
         epi_state_[v] = static_cast<EpiState>(p[0]);
         std::memcpy(&virus_[v], p + 1, sizeof(float));
         std::memcpy(&chem_[v], p + 5, sizeof(float));
-        if (virus_[v] > 0.0f || chem_[v] > 0.0f ||
-            transient_epi(epi_state_[v])) {
-          const spmd::StripCoord c = halo_.boundary(f, i);
-          mark_active(c.x, c.y, c.z);
-        }
+        if (is_active_voxel(v)) mark_active(lidx(halo_.boundary(f, i)));
       }
     });
   }
@@ -363,10 +365,7 @@ class CpuRank {
         float x;
         std::memcpy(&x, in.data() + i * sizeof(float), sizeof(float));
         tmp_[static_cast<std::size_t>(lidx(halo_.ghost(f, i)))] = x;
-        if (x > 0.0f) {
-          const spmd::StripCoord c = halo_.boundary(f, i);
-          mark_active(c.x, c.y, c.z);
-        }
+        if (x > 0.0f) mark_active(lidx(halo_.boundary(f, i)));
       }
     });
   }
@@ -418,7 +417,7 @@ class CpuRank {
       if (intent.kind == rules::IntentKind::kNone) continue;
 
       const Coord tc = grid_.to_coord(intent.target);
-      if (owns_global(tc)) {
+      if (sub_.contains(tc)) {
         auto& field = (intent.kind == rules::IntentKind::kMove) ? bid_move_
                                                                 : bid_bind_;
         auto [it, inserted] = field.try_emplace(intent.target, intent.bid);
@@ -473,7 +472,7 @@ class CpuRank {
       const VoxelId u =
           rules::attempt_voxel(rng_, step_, i, grid_.num_voxels());
       const Coord uc = grid_.to_coord(u);
-      if (!owns_global(uc)) continue;
+      if (!sub_.contains(uc)) continue;
       const std::size_t ui = static_cast<std::size_t>(lidx_of(uc));
       if (!rules::attempt_accepted(rng_, step_, i, chem_[ui])) continue;
       if (epi_state_[ui] == EpiState::kEmpty) continue;
@@ -786,8 +785,9 @@ class CpuRank {
   util::aligned_vector<float> chem_;
   util::aligned_vector<float> tmp_;
   util::aligned_vector<std::uint8_t> occupancy_;
-  util::aligned_vector<std::uint8_t> active_;
   util::aligned_vector<std::uint8_t> in_list_;
+  std::vector<std::uint64_t> active_bits_;
+  std::vector<std::uint64_t> interior_bits_;
   util::aligned_vector<float> zeros_row_;
 
   std::vector<std::int32_t> active_list_;

@@ -123,8 +123,12 @@ TEST(MemScope, MergeSumsSlotsByName) {
   EXPECT_EQ(all.peak_live_bytes, 220u);  // rank peaks sum
   ASSERT_EQ(all.buffers.size(), 2u);
   for (const obs::MemSlot& s : all.buffers) {
-    if (s.name == "virus") EXPECT_EQ(s.peak_bytes, 170u);
-    if (s.name == "chem") EXPECT_EQ(s.peak_bytes, 50u);
+    if (s.name == "virus") {
+      EXPECT_EQ(s.peak_bytes, 170u);
+    }
+    if (s.name == "chem") {
+      EXPECT_EQ(s.peak_bytes, 50u);
+    }
   }
   EXPECT_EQ(all.registry_peak_bytes(), 220u);
   // Merging owners with disjoint name sets must keep the report sorted:
@@ -204,8 +208,12 @@ TEST(MemScope, DeviceBufferExactByteAccounting) {
   const obs::MemReport rep = dev.memscope()->report();
   EXPECT_EQ(rep.live_bytes, 0u);
   for (const obs::MemSlot& s : rep.buffers) {
-    if (s.name == "a") EXPECT_EQ(s.peak_bytes, 600u);
-    if (s.name == "b") EXPECT_EQ(s.peak_bytes, 64u);
+    if (s.name == "a") {
+      EXPECT_EQ(s.peak_bytes, 600u);
+    }
+    if (s.name == "b") {
+      EXPECT_EQ(s.peak_bytes, 64u);
+    }
   }
 }
 
@@ -367,13 +375,13 @@ TEST(MemScope, CpuSingleRankRegistryMatchesHandComputedLayout) {
   const cpu::CpuRunResult r = cpu::run_cpu_sim(p, foi, opt);
   ASSERT_FALSE(r.memory.empty());
 
-  // 11 host grids over the padded volume: rows of (48+2) ghost-inclusive
+  // 10 byte grids over the padded volume: rows of (48+2) ghost-inclusive
   // columns pad to the cache-line stride 64 (util::pad_stride(50)), times
-  // (48+2) rows.
+  // (48+2) rows; plus 2 bit grids of 64-bit words, 3200 / 64 = 50 each.
   const std::size_t padded = 64 * 50;
   const auto cats = r.memory.categories();
   EXPECT_EQ(cats.at("host_grid"),
-            padded * perfmodel::kCpuGridBytesPerVoxel);
+            padded * perfmodel::kCpuGridBytesPerVoxel + 2 * 50 * 8);
   for (const auto& [cat, modeled] : r.mem_modeled_by_category) {
     EXPECT_EQ(static_cast<double>(cats.count(cat) ? cats.at(cat) : 0u),
               modeled)
