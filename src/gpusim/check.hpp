@@ -44,7 +44,9 @@
 //     differ between schedules is schedule-dependent — this is what
 //     catches order-dependent floating-point atomic_add reductions,
 //     which the access checker rightly accepts (atomics don't race) but
-//     which are not deterministic.  A reduction that is intentionally
+//     which are not deterministic.  (The device applies FP atomics in
+//     block order, kernel.hpp, so only the order of threads *within* a
+//     block can still change their bits.)  A reduction that is intentionally
 //     order-tolerant can be annotated per launch with
 //     DeviceBuffer::tolerate_schedule_variance(rationale); tolerated
 //     differences are counted, not fatal.
@@ -70,7 +72,8 @@
 // step time by bench/obs_overhead).
 //
 // The checker is deliberately unsynchronized: one Device (and therefore
-// one checker) belongs to one rank thread.
+// one checker) belongs to one rank thread, and a device with a checker
+// runs every launch on that thread, whatever its worker count.
 
 #include <cstddef>
 #include <cstdint>

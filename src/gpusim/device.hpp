@@ -19,7 +19,14 @@
 //     thread/block context — and only buffers of the same device.
 //   * A launch runs its threads in canonical order (blocks ascending,
 //     threads ascending) as plain nested loops; the flat, permuted loop
-//     exists only for KernelCheck's replays.
+//     exists only for KernelCheck's replays.  With DeviceOptions::workers
+//     W > 1, an unchecked launch of at least 4·W blocks splits its blocks
+//     into W contiguous ranges: the calling thread runs range 0 with the
+//     same nested loop, W - 1 pooled helpers (pool.hpp) run the others.
+//     Blocks are unordered in CUDA, and KernelCheck's replays certify
+//     every kernel as block-order independent; counting and atomics are
+//     per-worker and deterministic (kernel.hpp), so results and counters
+//     are the same bits for every W.
 //   * Shared memory exists per block, is zero-initialized at block start,
 //     and phases separated by sync() see each other's writes (the
 //     __syncthreads model; threads within a phase run sequentially, which
@@ -29,13 +36,17 @@
 //     and can re-execute each launch under permuted thread schedules to
 //     certify bit-for-bit determinism.
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <tuple>
 #include <vector>
 
 #include "gpusim/check.hpp"
+#include "gpusim/kernel.hpp"
+#include "gpusim/pool.hpp"
 #include "obs/config.hpp"
 #include "obs/memscope.hpp"  // header-only memory registry
 #include "obs/profile.hpp"   // header-only profiler core
@@ -112,20 +123,26 @@ struct DeviceOptions {
   /// (run_gpu_sim) reports after all rank threads joined.  A rank thread
   /// throwing mid-step would desert the team barrier and hang its peers.
   bool defer_check_report = false;
+  /// Host threads that execute one launch's blocks (the calling thread
+  /// plus workers - 1 pooled helpers).  run_gpu_sim gives each rank's
+  /// device max(1, hardware threads / ranks); 1 runs every launch on the
+  /// calling thread.
+  unsigned workers = 1;
 };
 
 template <typename T>
 class DeviceBuffer;
-template <typename T>
-class GlobalSpan;
-class ThreadCtx;
-class BlockCtx;
 
 /// One virtual GPU.  Each PGAS rank owns one Device in SIMCoV-GPU (the
 /// paper runs one process per GPU).
 class Device {
  public:
-  explicit Device(int id, const DeviceOptions& opts = {}) : id_(id) {
+  explicit Device(int id, const DeviceOptions& opts = {})
+      : id_(id), lanes_(std::max(1u, opts.workers)) {
+    SIMCOV_REQUIRE(opts.workers <= 256, "device workers must be at most 256");
+    if (lanes_.size() > 1) {
+      pool_ = WorkerPool::lease(static_cast<unsigned>(lanes_.size() - 1));
+    }
     const KernelCheckOptions copts{opts.obs.kernel_check, opts.obs.permute,
                                    opts.defer_check_report};
     if (copts.enabled()) {
@@ -172,6 +189,9 @@ class Device {
   /// after its context.  The device check (a foreign buffer throws here,
   /// at launch) and the KernelProf slot routing therefore run once per
   /// launch, not once per thread; the per-access hooks are unchanged.
+  ///
+  /// The body may run concurrently for different blocks (workers > 1), so
+  /// it must not write host state; results go through its spans.
   template <typename F, typename... Ts>
   void parallel_for(const LaunchConfig& cfg, F&& body,
                     DeviceBuffer<Ts>&... args);
@@ -215,16 +235,108 @@ class Device {
                    "nested kernel launch (device busy)");
     ++kernel_depth_;
     ++stats_.kernel_launches;
+    // A launch that threw left its lanes mid-count; every launch starts
+    // from empty lanes.
+    for (Lane& l : lanes_) {
+      l.used_ = 0;
+      l.threads = l.shared_bytes = 0;
+      l.fp_log_.clear();
+    }
   }
   void end_kernel() { --kernel_depth_; }
 
   /// The single GlobalSpan factory: checks that `buf` lives on this
-  /// device and points the span's traffic counters at the buffer's
-  /// KernelProf slot, or at the DeviceStats aggregates when profiling is
-  /// off.  Launches call it once per buffer argument; ThreadCtx::global and
-  /// BlockCtx::global forward to it.
+  /// device and counts the span into a tally of `lane` routed to the
+  /// buffer's KernelProf slot, or to the DeviceStats aggregates when
+  /// profiling is off.  Launches call it once per buffer argument (each
+  /// gets its own tally); ThreadCtx::global and BlockCtx::global forward
+  /// to it and share the lane's tally for that destination.
   template <typename T>
-  GlobalSpan<T> bind(DeviceBuffer<T>& buf);
+  GlobalSpan<T> bind(DeviceBuffer<T>& buf, Lane& lane, bool launch_arg);
+
+  /// Runs fn(lane, spans, b0, b1) over blocks [0, grid): inline on lane 0
+  /// when the device has one worker, a KernelChecker is attached (checked
+  /// and permuted launches stay serial) or the grid has fewer than 4
+  /// blocks per worker; otherwise as W contiguous ranges, range k on lane
+  /// k, range 0 on the calling thread.  Lane 0 gets the launch-argument
+  /// `spans` themselves; a helper gets copies that count into its own
+  /// tallies (binds were counted once, when `spans` were bound).
+  template <typename... Ts, typename Fn>
+  void spread(std::uint32_t grid, const std::tuple<GlobalSpan<Ts>...>& spans,
+              Fn&& fn) {
+    const auto w = static_cast<std::uint64_t>(lanes_.size());
+    const std::uint64_t parts = !pool_ || checker_ || grid < 4 * w ? 1 : w;
+    // Every range, inline or pooled, runs through this one out-of-line
+    // function, so the launch loop exists once per launch site; the
+    // launches flatten it, inlining the kernel body and its accessors into
+    // the loop.
+    auto range = [&](unsigned k) __attribute__((noinline)) {
+      Lane& lane = lanes_[k];
+      std::optional<std::tuple<GlobalSpan<Ts>...>> own;
+      if (k > 0) {
+        own.emplace(std::apply(
+            [&](const GlobalSpan<Ts>&... s) {
+              return std::tuple<GlobalSpan<Ts>...>{GlobalSpan<Ts>(
+                  s.data_, s.size_, &lane.new_tally(s.tally_->dest),
+                  s.chk_)...};
+            },
+            spans));
+      }
+      fn(lane, own ? *own : spans, static_cast<std::uint32_t>(grid * k / parts),
+         static_cast<std::uint32_t>(grid * (k + 1) / parts));
+    };
+    if (parts == 1) {
+      range(0);
+    } else {
+      pool_->run(range);
+    }
+  }
+
+  /// End of one execution of a launch: folds every lane's tallies into
+  /// their destinations and its BlockCtx counts into stats_, then applies
+  /// the deferred FP atomics in ascending block index.  Lanes hold
+  /// ascending block ranges, so the lanes in order are in block order; only
+  /// a KernelCheck replay (lane 0 alone) can have run blocks out of order.
+  void fold_lanes() {
+    for (Lane& l : lanes_) {
+      for (std::size_t i = 0; i < l.used_; ++i) {
+        SpanTally& t = l.tallies_[i];
+        if (t.dest != nullptr) {
+          t.dest->read_bytes += t.read_bytes;
+          t.dest->write_bytes += t.write_bytes;
+          t.dest->atomic_ops += t.atomic_ops;
+          t.dest->binds += t.binds;
+        } else {
+          stats_.global_read_bytes += t.read_bytes;
+          stats_.global_write_bytes += t.write_bytes;
+          stats_.atomic_ops += t.atomic_ops;
+        }
+        t.read_bytes = t.write_bytes = t.atomic_ops = t.binds = 0;
+      }
+      stats_.threads_executed += l.threads;
+      stats_.shared_bytes_allocated += l.shared_bytes;
+      l.threads = l.shared_bytes = 0;
+    }
+    if (order_ != Order::kCanonical) {
+      std::stable_sort(
+          lanes_[0].fp_log_.begin(), lanes_[0].fp_log_.end(),
+          [](const Lane::FpAdd& a, const Lane::FpAdd& b) {
+            return a.block < b.block;
+          });
+    }
+    for (Lane& l : lanes_) {
+      for (const Lane::FpAdd& a : l.fp_log_) {
+        if (a.is_float) {
+          float* e = static_cast<float*>(a.elem);
+          *e = *e + static_cast<float>(a.value);
+        } else {
+          double* e = static_cast<double*>(a.elem);
+          *e = *e + a.value;
+        }
+      }
+      l.fp_log_.clear();
+    }
+  }
 
   /// Replay schedules only (the canonical order runs as plain nested
   /// loops): position k of the outer iteration (flat thread index for
@@ -262,6 +374,10 @@ class Device {
                              Exec&& exec);
 
   int id_;
+  /// One lane per worker, fixed at construction (tallies point back into
+  /// their lane); lane 0 is the calling thread's.
+  std::vector<Lane> lanes_;
+  WorkerPool::Lease pool_;  ///< the W - 1 helpers, or null
   int kernel_depth_ = 0;
   std::size_t allocated_bytes_ = 0;
   DeviceStats stats_;
@@ -272,12 +388,6 @@ class Device {
   std::vector<std::uint64_t> flat_perm_;
   std::vector<std::uint64_t> thread_perm_;
 };
-
-}  // namespace simcov::gpusim
-
-#include "gpusim/kernel.hpp"  // IWYU pragma: keep — defines launch bodies
-
-namespace simcov::gpusim {
 
 template <typename Exec>
 void Device::run_launch(const LaunchConfig& cfg, bool cooperative,
@@ -351,34 +461,45 @@ void Device::parallel_for(const LaunchConfig& cfg, F&& body,
     Device* d;
     ~Guard() { d->end_kernel(); }
   } guard{this};
-  const std::tuple<GlobalSpan<Ts>...> spans{bind(args)...};
-  const auto thread = [&](std::uint32_t b, std::uint32_t t) {
-    ThreadCtx ctx(*this, cfg, b, t);
-    std::apply([&](const GlobalSpan<Ts>&... s) { body(ctx, s...); }, spans);
+  using Spans = std::tuple<GlobalSpan<Ts>...>;
+  const Spans spans{bind(args, lanes_[0], /*launch_arg=*/true)...};
+  const auto thread = [&](Lane& lane, const Spans& sp, std::uint32_t b,
+                          std::uint32_t t) {
+    ThreadCtx ctx(*this, lane, cfg, b, t);
+    std::apply([&](const GlobalSpan<Ts>&... s) { body(ctx, s...); }, sp);
   };
   auto exec = [&] {
-    KernelChecker* const chk = checker_.get();
     if (order_ == Order::kCanonical) {
-      for (std::uint32_t b = 0; b < cfg.grid_dim; ++b) {
-        for (std::uint32_t t = 0; t < cfg.block_dim; ++t) {
-          if (chk) chk->at_thread(b, t);
-          thread(b, t);
+      // Canonical order over blocks [b0, b1), as plain nested loops.
+      spread(cfg.grid_dim, spans,
+             [&](Lane& lane, const Spans& sp, std::uint32_t b0,
+                 std::uint32_t b1) __attribute__((flatten)) {
+        KernelChecker* const chk = checker_.get();
+        for (std::uint32_t b = b0; b < b1; ++b) {
+          lane.block = b;
+          for (std::uint32_t t = 0; t < cfg.block_dim; ++t) {
+            if (chk) chk->at_thread(b, t);
+            thread(lane, sp, b, t);
+          }
         }
-      }
+      });
     } else {
       // KernelCheck replay: the flat thread index under the permuted
       // schedule, split into (block, thread).
+      Lane& lane = lanes_[0];
       const std::uint64_t n = cfg.total_threads();
       for (std::uint64_t k = 0; k < n; ++k) {
         const std::uint64_t idx = sched_flat(k, n);
         const auto b = static_cast<std::uint32_t>(idx / cfg.block_dim);
         const auto t = static_cast<std::uint32_t>(idx % cfg.block_dim);
-        chk->at_thread(b, t);
-        thread(b, t);
+        lane.block = b;
+        checker_->at_thread(b, t);
+        thread(lane, spans, b, t);
       }
     }
     stats_.blocks_executed += cfg.grid_dim;
     stats_.threads_executed += cfg.total_threads();
+    fold_lanes();
   };
   run_launch(cfg, /*cooperative=*/false, exec);
 }
@@ -391,18 +512,26 @@ void Device::launch_blocks(const LaunchConfig& cfg, F&& body,
     Device* d;
     ~Guard() { d->end_kernel(); }
   } guard{this};
-  const std::tuple<GlobalSpan<Ts>...> spans{bind(args)...};
+  using Spans = std::tuple<GlobalSpan<Ts>...>;
+  const Spans spans{bind(args, lanes_[0], /*launch_arg=*/true)...};
   auto exec = [&] {
-    for (std::uint32_t k = 0; k < cfg.grid_dim; ++k) {
-      const std::uint32_t b =
-          order_ == Order::kCanonical
-              ? k
-              : static_cast<std::uint32_t>(sched_flat(k, cfg.grid_dim));
-      if (checker_) checker_->begin_block(b);
-      BlockCtx ctx(*this, cfg, b);
-      std::apply([&](const GlobalSpan<Ts>&... s) { body(ctx, s...); }, spans);
-    }
+    // Replays have a checker attached, so spread runs them on lane 0.
+    spread(cfg.grid_dim, spans,
+           [&](Lane& lane, const Spans& sp, std::uint32_t k0,
+               std::uint32_t k1) __attribute__((flatten)) {
+      for (std::uint32_t k = k0; k < k1; ++k) {
+        const std::uint32_t b =
+            order_ == Order::kCanonical
+                ? k
+                : static_cast<std::uint32_t>(sched_flat(k, cfg.grid_dim));
+        lane.block = b;
+        if (checker_) checker_->begin_block(b);
+        BlockCtx ctx(*this, lane, cfg, b);
+        std::apply([&](const GlobalSpan<Ts>&... s) { body(ctx, s...); }, sp);
+      }
+    });
     stats_.blocks_executed += cfg.grid_dim;
+    fold_lanes();
   };
   run_launch(cfg, /*cooperative=*/true, exec);
 }

@@ -19,22 +19,40 @@
 // this is the choke point that makes the race analyzer complete: kernels
 // have no other path to device data.
 //
-// The same choke point carries KernelProf (obs/profile.hpp): the byte and
-// atomic counters a GlobalSpan increments are plain pointers supplied at
-// bind time (Device::bind, reached through a launch's buffer arguments or
-// ThreadCtx/BlockCtx::global), so when profiling is enabled the span points
-// them at per-buffer profiler slots instead of the DeviceStats aggregates.
-// Per-buffer attribution therefore costs nothing per access — the
-// increment was always indirect — and exactly one extra null-pointer
-// branch per buffer bind, which for launch arguments is once per launch.
+// Counting is per worker lane: a GlobalSpan increments the SpanTally it was
+// bound with, a cache-line-padded launch-local owned by the Lane (one per
+// worker of a block-parallel launch, device.hpp) that runs the thread.  At
+// the end of each execution of a launch the Device folds every lane's
+// tallies into their destination — the buffer's KernelProf slot
+// (obs/profile.hpp) when profiling is on, the DeviceStats aggregates
+// otherwise — so per-buffer attribution costs one null-pointer branch per
+// bind, nothing per access, and concurrent workers never share a counter.
+//
+// Atomics are deterministic for any worker count.  Integer atomic_add and
+// atomic_max are std::atomic_ref read-modify-writes (integer addition and
+// max commute, so any interleaving gives the same bits).  A floating-point
+// atomic_add is deferred: it appends (block, element, value) to its lane's
+// log, and the Device applies the logs in ascending block index at launch
+// end, within a block in the order the block ran its threads.  That is
+// the canonical serial sum, bit for bit, however the blocks were spread
+// over workers or shuffled by a KernelCheck replay.  The deferred add has
+// no old value to return, and a kernel must not read an element back in
+// the launch that FP-atomically adds to it.
 
+#include <array>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "gpusim/check.hpp"
 #include "util/error.hpp"
+
+namespace simcov::obs {
+struct ProfSlot;
+}  // namespace simcov::obs
 
 namespace simcov::gpusim {
 
@@ -43,25 +61,93 @@ struct LaunchConfig;
 struct DeviceStats;
 template <typename T>
 class DeviceBuffer;
+class Lane;
+
+/// What one lane counted for one bound span during a launch: a launch-local
+/// the span increments, folded into `dest` (a KernelProf slot, or the
+/// DeviceStats aggregates when null) by Device::fold_lanes.  Padded to a
+/// cache line so lanes on different cores never share one.
+struct alignas(64) SpanTally {
+  std::uint64_t read_bytes = 0;
+  std::uint64_t write_bytes = 0;
+  std::uint64_t atomic_ops = 0;
+  std::uint64_t binds = 0;  ///< in-thread binds (launch arguments count at bind)
+  obs::ProfSlot* dest = nullptr;
+  Lane* lane = nullptr;
+};
+
+/// One worker's share of a launch: the tallies of the spans it bound, the
+/// counts its BlockCtxs bumped and its deferred floating-point atomics.
+/// Touched only by the worker running it, and by the Device before and
+/// after the launch.
+class alignas(64) Lane {
+ public:
+  /// A fresh tally routed to `dest` (one per launch argument).
+  SpanTally& new_tally(obs::ProfSlot* dest) {
+    SIMCOV_REQUIRE(used_ < tallies_.size(),
+                   "too many buffer binds in one launch");
+    SpanTally& t = tallies_[used_++];
+    t = SpanTally{};
+    t.dest = dest;
+    t.lane = this;
+    return t;
+  }
+  /// The lane's tally routed to `dest`, created on first use: binds made
+  /// inside threads share it, however many threads bind.
+  SpanTally& tally_for(obs::ProfSlot* dest) {
+    for (std::size_t i = 0; i < used_; ++i) {
+      if (tallies_[i].dest == dest) return tallies_[i];
+    }
+    return new_tally(dest);
+  }
+
+  /// The block this lane is executing (FP atomics are logged under it).
+  std::uint32_t block = 0;
+  std::uint64_t threads = 0;       ///< BlockCtx phase threads executed
+  std::uint64_t shared_bytes = 0;  ///< BlockCtx shared allocations
+
+  template <typename T>
+  void defer_add(T* elem, T value) {
+    fp_log_.push_back({block, elem, static_cast<double>(value),
+                       std::is_same_v<T, float>});
+  }
+
+ private:
+  friend class Device;
+  /// One deferred floating-point atomic_add (float or double element; a
+  /// float value survives the round trip through double exactly).
+  struct FpAdd {
+    std::uint32_t block;
+    void* elem;
+    double value;
+    bool is_float;
+  };
+
+  std::array<SpanTally, 64> tallies_{};
+  std::size_t used_ = 0;
+  std::vector<FpAdd> fp_log_;
+};
 
 /// Kernel-side mutable view of a DeviceBuffer.  Cheap to copy.  Valid for
 /// the launch that bound it; KernelCheck reports an access made after that
-/// launch ended.
+/// launch ended.  The accessors are forced inline: they are the innermost
+/// operation of every kernel, and the bounds check's cold failure path
+/// (util/error.hpp) keeps them small enough to inline everywhere.
 template <typename T>
 class GlobalSpan {
  public:
   std::size_t size() const { return size_; }
 
-  T read(std::size_t i) const {
+  [[gnu::always_inline]] T read(std::size_t i) const {
     SIMCOV_ASSERT(i < size_, "global read out of bounds");
-    *read_bytes_ += sizeof(T);
+    tally_->read_bytes += sizeof(T);
     if (chk_) chk_->on_global_access(data_, i, KernelChecker::Access::kRead);
     return data_[i];
   }
 
-  void write(std::size_t i, T value) const {
+  [[gnu::always_inline]] void write(std::size_t i, T value) const {
     SIMCOV_ASSERT(i < size_, "global write out of bounds");
-    *write_bytes_ += sizeof(T);
+    tally_->write_bytes += sizeof(T);
     if (chk_) chk_->on_global_access(data_, i, KernelChecker::Access::kWrite);
     data_[i] = value;
   }
@@ -72,10 +158,11 @@ class GlobalSpan {
   /// n scalar read() calls; the pointer return just lets the vectorized
   /// stencil loops (core/stencil.hpp) run without a per-element hook, which
   /// is what a real GPU's coalesced load is.
-  const T* read_block(std::size_t i, std::size_t n) const {
+  [[gnu::always_inline]] const T* read_block(std::size_t i,
+                                             std::size_t n) const {
     SIMCOV_ASSERT(i + n <= size_ && i + n >= i,
                   "global block read out of bounds");
-    *read_bytes_ += n * sizeof(T);
+    tally_->read_bytes += n * sizeof(T);
     if (chk_) {
       chk_->on_global_range(data_, i, n, KernelChecker::Access::kRead);
     }
@@ -85,48 +172,52 @@ class GlobalSpan {
   /// Coalesced write view of `n` consecutive elements starting at `i`: the
   /// kernel must store to every element it declared (the checker shadows
   /// all n as written).  Counterpart of read_block for stencil row output.
-  T* write_block(std::size_t i, std::size_t n) const {
+  [[gnu::always_inline]] T* write_block(std::size_t i, std::size_t n) const {
     SIMCOV_ASSERT(i + n <= size_ && i + n >= i,
                   "global block write out of bounds");
-    *write_bytes_ += n * sizeof(T);
+    tally_->write_bytes += n * sizeof(T);
     if (chk_) {
       chk_->on_global_range(data_, i, n, KernelChecker::Access::kWrite);
     }
     return data_ + i;
   }
 
-  /// atomicAdd: returns the old value.
-  T atomic_add(std::size_t i, T value) const {
+  /// atomicAdd.  Integers return the old value; a floating-point add is
+  /// deferred to launch end in block order (see the header comment) and
+  /// returns nothing.
+  [[gnu::always_inline]] auto atomic_add(std::size_t i, T value) const {
     SIMCOV_ASSERT(i < size_, "atomic out of bounds");
-    ++*atomics_;
+    ++tally_->atomic_ops;
     if (chk_) chk_->on_global_access(data_, i, KernelChecker::Access::kAtomic);
-    T old = data_[i];
-    data_[i] = old + value;
-    return old;
+    if constexpr (std::is_floating_point_v<T>) {
+      tally_->lane->defer_add(data_ + i, value);
+    } else {
+      return std::atomic_ref<T>(data_[i]).fetch_add(value,
+                                                    std::memory_order_relaxed);
+    }
   }
 
   /// atomicMax: returns the old value.
-  T atomic_max(std::size_t i, T value) const {
+  [[gnu::always_inline]] T atomic_max(std::size_t i, T value) const {
     SIMCOV_ASSERT(i < size_, "atomic out of bounds");
-    ++*atomics_;
+    ++tally_->atomic_ops;
     if (chk_) chk_->on_global_access(data_, i, KernelChecker::Access::kAtomic);
-    T old = data_[i];
-    if (value > old) data_[i] = value;
+    std::atomic_ref<T> elem(data_[i]);
+    T old = elem.load(std::memory_order_relaxed);
+    while (value > old &&
+           !elem.compare_exchange_weak(old, value, std::memory_order_relaxed)) {
+    }
     return old;
   }
 
  private:
   friend class Device;
-  GlobalSpan(T* data, std::size_t size, std::uint64_t* rd, std::uint64_t* wr,
-             std::uint64_t* at, KernelChecker* chk)
-      : data_(data), size_(size), read_bytes_(rd), write_bytes_(wr),
-        atomics_(at), chk_(chk) {}
+  GlobalSpan(T* data, std::size_t size, SpanTally* tally, KernelChecker* chk)
+      : data_(data), size_(size), tally_(tally), chk_(chk) {}
 
   T* data_;
   std::size_t size_;
-  std::uint64_t* read_bytes_;
-  std::uint64_t* write_bytes_;
-  std::uint64_t* atomics_;
+  SpanTally* tally_;
   KernelChecker* chk_;
 };
 
@@ -207,10 +298,11 @@ class ThreadCtx {
 
  private:
   friend class Device;
-  ThreadCtx(Device& d, const LaunchConfig& cfg, std::uint32_t b,
+  ThreadCtx(Device& d, Lane& lane, const LaunchConfig& cfg, std::uint32_t b,
             std::uint32_t t);
 
   Device* device_;
+  Lane* lane_;
   std::uint32_t block_idx_, thread_idx_, block_dim_, grid_dim_;
 };
 
@@ -248,12 +340,13 @@ class BlockCtx {
 
  private:
   friend class Device;
-  BlockCtx(Device& d, const LaunchConfig& cfg, std::uint32_t b);
-  void bump_threads(std::uint32_t n);
+  BlockCtx(Device& d, Lane& lane, const LaunchConfig& cfg, std::uint32_t b);
+  void bump_threads(std::uint32_t n) { lane_->threads += n; }
   void sync_boundary();               ///< implicit __syncthreads
   std::uint32_t thread_at(std::uint32_t k) const;  ///< replay schedule
 
   Device* device_;
+  Lane* lane_;
   KernelChecker* chk_;  ///< the device's checker, or nullptr
   bool replay_;         ///< a KernelCheck replay (non-canonical order)
   std::uint32_t block_idx_, block_dim_, grid_dim_;

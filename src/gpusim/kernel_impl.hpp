@@ -8,43 +8,45 @@
 
 namespace simcov::gpusim {
 
-inline ThreadCtx::ThreadCtx(Device& d, const LaunchConfig& cfg,
+inline ThreadCtx::ThreadCtx(Device& d, Lane& lane, const LaunchConfig& cfg,
                             std::uint32_t b, std::uint32_t t)
-    : device_(&d), block_idx_(b), thread_idx_(t), block_dim_(cfg.block_dim),
-      grid_dim_(cfg.grid_dim) {}
+    : device_(&d), lane_(&lane), block_idx_(b), thread_idx_(t),
+      block_dim_(cfg.block_dim), grid_dim_(cfg.grid_dim) {}
 
 template <typename T>
-GlobalSpan<T> Device::bind(DeviceBuffer<T>& buf) {
+GlobalSpan<T> Device::bind(DeviceBuffer<T>& buf, Lane& lane,
+                           bool launch_arg) {
   SIMCOV_REQUIRE(&buf.device() == this,
                  "kernel bound a buffer from a different device");
   // KernelProf substitution: when the buffer carries a profiler slot, the
-  // span's counter pointers target the slot instead of the DeviceStats
+  // span's tally folds into the slot instead of the DeviceStats
   // aggregates, attributing every byte to this named buffer.  One null
   // check per *bind*, zero added cost per access; the Device folds slot
   // deltas back into the aggregates at end of launch.
-  if (obs::ProfSlot* p = buf.prof_slot_) {
-    ++p->binds;
-    return GlobalSpan<T>(buf.raw(), buf.size(), &p->read_bytes,
-                         &p->write_bytes, &p->atomic_ops, checker());
+  // Launch arguments bind on the launching thread, before any worker runs;
+  // a bind inside a thread may run on a helper, so it counts in its lane.
+  obs::ProfSlot* const slot = buf.prof_slot_;
+  SpanTally* tally;
+  if (launch_arg) {
+    if (slot != nullptr) ++slot->binds;
+    tally = &lane.new_tally(slot);
+  } else {
+    tally = &lane.tally_for(slot);
+    ++tally->binds;
   }
-  return GlobalSpan<T>(buf.raw(), buf.size(), &stats_.global_read_bytes,
-                       &stats_.global_write_bytes, &stats_.atomic_ops,
-                       checker());
+  return GlobalSpan<T>(buf.raw(), buf.size(), tally, checker());
 }
 
 template <typename T>
 GlobalSpan<T> ThreadCtx::global(DeviceBuffer<T>& buf) const {
-  return device_->bind(buf);
+  return device_->bind(buf, *lane_, /*launch_arg=*/false);
 }
 
-inline BlockCtx::BlockCtx(Device& d, const LaunchConfig& cfg, std::uint32_t b)
-    : device_(&d), chk_(d.checker()),
+inline BlockCtx::BlockCtx(Device& d, Lane& lane, const LaunchConfig& cfg,
+                          std::uint32_t b)
+    : device_(&d), lane_(&lane), chk_(d.checker()),
       replay_(d.order_ != Device::Order::kCanonical), block_idx_(b),
       block_dim_(cfg.block_dim), grid_dim_(cfg.grid_dim) {}
-
-inline void BlockCtx::bump_threads(std::uint32_t n) {
-  device_->stats().threads_executed += n;
-}
 
 inline void BlockCtx::sync_boundary() {
   if (chk_) chk_->enter_phase();
@@ -66,14 +68,14 @@ SharedSpan<T> BlockCtx::shared(std::size_t count) {
                  "shared memory request exceeds per-block capacity");
   shared_allocs_.push_back(
       std::make_unique<std::vector<std::byte>>(bytes, std::byte{0}));
-  device_->stats().shared_bytes_allocated += bytes;
+  lane_->shared_bytes += bytes;
   return SharedSpan<T>(reinterpret_cast<T*>(shared_allocs_.back()->data()),
                        count, chk_);
 }
 
 template <typename T>
 GlobalSpan<T> BlockCtx::global(DeviceBuffer<T>& buf) const {
-  return device_->bind(buf);
+  return device_->bind(buf, *lane_, /*launch_arg=*/false);
 }
 
 }  // namespace simcov::gpusim

@@ -4,6 +4,7 @@
 #include <array>
 #include <bit>
 #include <span>
+#include <thread>
 #include <tuple>
 
 #include "core/grid.hpp"
@@ -96,7 +97,8 @@ class GpuRank {
         // desert the team barrier and hang its peers, so findings go into
         // the rank's report and the SPMD driver throws after the join.
         dev_(rank.id(), gpusim::DeviceOptions{.obs = options.obs,
-                                              .defer_check_report = true}),
+                                              .defer_check_report = true,
+                                              .workers = options.workers}),
         ledger_(ledger),
         // Device allocations: full padded layout per field.
         epi_state_(dev_, lay_.size(),
@@ -802,8 +804,14 @@ class GpuRank {
     exchange(tmp_, kPTmp, StripSide::kBoundary, MergeMode::kOverwrite);
     // Diffusion stencil reading tmp, writing the field.  The row interior
     // vectorizes (its -x/+x neighbours sit at c[j-1]/c[j+1]); the two
-    // row-edge voxels are peeled onto the scalar gather, which handles
-    // cross-tile/ghost x neighbours and the global-x-edge neighbour count.
+    // row-edge voxels are peeled onto a scalar gather over the four
+    // neighbour slots in contract order, skipping neighbours outside the
+    // *global* grid.  The slots come from the row geometry: the same tile
+    // row, the adjacent tile's edge column or the x ghost strips, and the
+    // -y/+y row slots chosen below.
+    const std::uint32_t ghost_xneg = lay_.interior_slots();
+    const std::uint32_t ghost_xpos =
+        ghost_xneg + static_cast<std::uint32_t>(h_);
     for_active_rows("field_diffuse",
                     [&](std::uint32_t tile_id, std::uint32_t iy,
                         std::int32_t x0, std::int32_t y, std::int32_t n,
@@ -813,48 +821,51 @@ class GpuRank {
       const float* c = tmp.read_block(row_base, un);
       // -y neighbour row: previous row of this tile, bottom row of the
       // tile above, or the y = -1 ghost strip.
-      const float* ym;
-      if (iy > 0) {
-        ym = tmp.read_block(row_base - tile, un);
-      } else if (y > 0) {
-        ym = tmp.read_block((tile_id - tiles_x) * ts + (tile - 1) * tile, un);
-      } else {
-        ym = tmp.read_block(ghost_yneg + static_cast<std::uint32_t>(x0), un);
-      }
+      const std::uint32_t ym_base =
+          iy > 0  ? row_base - tile
+          : y > 0 ? (tile_id - tiles_x) * ts + (tile - 1) * tile
+                  : ghost_yneg + static_cast<std::uint32_t>(x0);
       // +y neighbour row: next row of this tile, top row of the tile
       // below, or the y = h ghost strip.
-      const float* yp;
-      if (y + 1 >= h_) {
-        yp = tmp.read_block(ghost_ypos + static_cast<std::uint32_t>(x0), un);
-      } else if (iy + 1 < tile) {
-        yp = tmp.read_block(row_base + tile, un);
-      } else {
-        yp = tmp.read_block((tile_id + tiles_x) * ts, un);
-      }
+      const std::uint32_t yp_base =
+          y + 1 >= h_      ? ghost_ypos + static_cast<std::uint32_t>(x0)
+          : iy + 1 < tile ? row_base + tile
+                          : (tile_id + tiles_x) * ts;
+      const float* ym = tmp.read_block(ym_base, un);
+      const float* yp = tmp.read_block(yp_base, un);
       float* out = f_of.write_block(row_base, un);
       const std::int32_t gy = sub_.origin.y + y;
-      const int cnt_row =
-          2 + (gy > 0 ? 1 : 0) + (gy + 1 < grid_.dim_y() ? 1 : 0);
+      const bool has_ym = gy > 0, has_yp = gy + 1 < grid_.dim_y();
+      const int cnt_row = 2 + (has_ym ? 1 : 0) + (has_yp ? 1 : 0);
       if (n > 2) {
         stencil::diffuse_row(c + 1, ym + 1, yp + 1, out + 1, n - 2, cnt_row,
                              diffusion, floor_eps);
       }
       const std::int32_t last = n - 1;
+      const auto uy = static_cast<std::uint32_t>(y);
       for (std::int32_t ix = 0; ix <= last; ix += (last > 0 ? last : 1)) {
         const std::int32_t x = x0 + ix;
         const std::int32_t gx = sub_.origin.x + x;
+        const auto uix = static_cast<std::uint32_t>(ix);
+        // -x: this row, the left tile's last column, or the x = -1 strip.
+        const std::uint32_t xm = ix > 0  ? row_base + uix - 1
+                                 : x > 0 ? row_base - ts + tile - 1
+                                         : ghost_xneg + uy;
+        // +x: this row, the right tile's first column, or the x = w strip.
+        const std::uint32_t xp = ix < last   ? row_base + uix + 1
+                                 : x + 1 < w_ ? row_base + ts
+                                              : ghost_xpos + uy;
         double sum = 0.0;
         int cnt = 0;
-        const std::array<std::array<std::int32_t, 2>, 4> offs{
-            {{-1, 0}, {+1, 0}, {0, -1}, {0, +1}}};
-        for (const auto& o : offs) {
-          const std::int32_t nx = gx + o[0], ny = gy + o[1];
-          if (nx < 0 || nx >= grid_.dim_x() || ny < 0 || ny >= grid_.dim_y())
-            continue;
-          sum +=
-              static_cast<double>(tmp.read(lay_.index(x + o[0], y + o[1])));
+        const auto gather = [&](bool inside, std::uint32_t slot) {
+          if (!inside) return;
+          sum += static_cast<double>(tmp.read(slot));
           ++cnt;
-        }
+        };
+        gather(gx > 0, xm);
+        gather(gx + 1 < grid_.dim_x(), xp);
+        gather(has_ym, ym_base + uix);
+        gather(has_yp, yp_base + uix);
         out[ix] = rules::diffuse(c[ix], sum, cnt, diffusion, floor_eps);
         if (last == 0) break;
       }
@@ -960,10 +971,12 @@ class GpuRank {
   /// atomics — the contention §3.3 identifies as the dominant cost.
   void reduce_atomic() {
     const std::uint64_t n = lay_.interior_slots();
-    // Per-voxel floating-point atomic adds reorder under permuted
-    // schedules; this is the intentionally order-tolerant unoptimized
-    // variant (§3.3).  Consumers compare virus/chem at 1e-9 relative
-    // tolerance and the integer-valued stats are exact below 2^53.
+    // Per-voxel floating-point atomic adds: the device applies them in
+    // block order, but KernelCheck's replays still permute the threads
+    // inside each block, which reorders the additions; this is the
+    // intentionally order-tolerant unoptimized variant (§3.3).  Consumers
+    // compare virus/chem at 1e-9 relative tolerance and the integer-valued
+    // stats are exact below 2^53.
     stats_dev_.tolerate_schedule_variance(
         "unoptimized per-voxel FP atomic reduction");
     dev_.parallel_for(linear_launch(n, "reduce_atomic"),
@@ -994,14 +1007,9 @@ class GpuRank {
     const std::uint32_t blocks = static_cast<std::uint32_t>(std::clamp<std::uint64_t>(
         n / (static_cast<std::uint64_t>(bd) * 8), 1, 256));
     const std::uint64_t stride = static_cast<std::uint64_t>(blocks) * bd;
-    if (blocks > 1) {
-      // With several blocks the per-block partial sums meet in global
-      // memory through one FP atomic_add per stat, so block order can
-      // reorder the additions.  Single-block launches (every smoke-scale
-      // grid) fold in a fixed tree and stay bit-identical.
-      stats_dev_.tolerate_schedule_variance(
-          "cross-block FP atomic merge of partial sums");
-    }
+    // The per-block partial sums meet in global memory through one FP
+    // atomic_add per stat, which the device applies in block order
+    // (gpusim/kernel.hpp): bit-identical for any block count or schedule.
     dev_.launch_blocks({blocks, bd, "reduce_tree"},
                        [&, n, bd, stride](auto& blk, const auto& epi,
                                           const auto& tc, const auto& vir,
@@ -1228,11 +1236,16 @@ GpuRunResult run_gpu_sim(const SimParams& params,
                          const std::vector<VoxelId>& foi,
                          const GpuSimOptions& options,
                          const std::vector<VoxelId>& empty_voxels) {
+  GpuSimOptions opts = options;
+  if (opts.workers == 0) {
+    const auto ranks = static_cast<unsigned>(std::max(1, opts.num_ranks));
+    opts.workers = std::max(1u, std::thread::hardware_concurrency() / ranks);
+  }
   return spmd::run_spmd(
-      params, options, perfmodel::Backend::kGpu,
+      params, opts, perfmodel::Backend::kGpu,
       [&](pgas::Rank& rank, const Decomposition& dec,
           spmd::StepLedger& ledger) {
-        return GpuRank(rank, params, dec, foi, empty_voxels, options, ledger);
+        return GpuRank(rank, params, dec, foi, empty_voxels, opts, ledger);
       });
 }
 

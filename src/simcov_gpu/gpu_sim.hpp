@@ -44,6 +44,11 @@ struct GpuVariant {
 /// the §3.4 optimization variant.
 struct GpuSimOptions : spmd::RunOptions {
   GpuVariant variant = GpuVariant::combined();
+  /// Host threads per rank's device (gpusim::DeviceOptions::workers); 0
+  /// means max(1, hardware threads / ranks), so the team never asks for
+  /// more threads than the host has.  Results are the same bits for any
+  /// value.
+  unsigned workers = 0;
 };
 
 /// Both backends return the shared spmd::RunResult; device_total,

@@ -102,7 +102,8 @@ class TiledLayout {
 
   /// Memory slot of local coordinate (x, y); accepts the ghost ring
   /// (x == -1, x == w, y == -1 or y == h) but never ghost corners.
-  std::uint32_t index(std::int32_t x, std::int32_t y) const {
+  [[gnu::always_inline]] std::uint32_t index(std::int32_t x,
+                                             std::int32_t y) const {
     if (x >= 0 && x < w_ && y >= 0 && y < h_) {
       const auto ux = static_cast<std::uint32_t>(x);
       const auto uy = static_cast<std::uint32_t>(y);

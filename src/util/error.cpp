@@ -11,4 +11,9 @@ void throw_error(const char* expr, const char* file, int line,
   throw Error(os.str());
 }
 
+void throw_error(const char* expr, const char* file, int line,
+                 const char* msg) {
+  throw_error(expr, file, line, std::string(msg));
+}
+
 }  // namespace simcov::detail

@@ -19,8 +19,13 @@ class Error : public std::runtime_error {
 };
 
 namespace detail {
-[[noreturn]] void throw_error(const char* expr, const char* file, int line,
-                              const std::string& msg);
+[[noreturn, gnu::cold]] void throw_error(const char* expr, const char* file,
+                                         int line, const std::string& msg);
+/// Literal-message overload: a failing check with a string-literal message
+/// builds its std::string here, out of line, instead of at every call site
+/// (which would keep hot accessors such as GlobalSpan::read from inlining).
+[[noreturn, gnu::cold]] void throw_error(const char* expr, const char* file,
+                                         int line, const char* msg);
 }  // namespace detail
 
 }  // namespace simcov

@@ -227,6 +227,46 @@ TEST(GpuSim, RunToRunReproducible) {
   EXPECT_EQ(a.digests, b.digests);
 }
 
+TEST(GpuSim, WorkerCountDoesNotChangeAnyBit) {
+  // Block-parallel launches (gpusim::DeviceOptions::workers) must leave
+  // every digest, every statistic and every device counter as the serial
+  // run does: on one rank, and on a 2x2 team with ragged sub-domains and
+  // ragged edge tiles.  The grids are large enough that the tile kernels
+  // and the multi-block reduce_tree run block-parallel at 3 workers.
+  for (const int ranks : {1, 4}) {
+    SimParams p = small();
+    p.dim_x = ranks == 1 ? 160 : 250;
+    p.dim_y = ranks == 1 ? 136 : 190;
+    p.num_steps = 60;
+    p.num_foi = 6;
+    SCOPED_TRACE(testing::Message() << "ranks=" << ranks);
+    gpu::GpuSimOptions opt;
+    opt.num_ranks = ranks;
+    opt.record_digests = true;
+    opt.obs = obs::Config{};
+    opt.workers = 1;
+    const auto serial = gpu::run_gpu_sim(p, foi_for(p), opt);
+    opt.workers = 3;
+    const auto parallel = gpu::run_gpu_sim(p, foi_for(p), opt);
+    EXPECT_EQ(parallel.digests, serial.digests);
+    ASSERT_EQ(parallel.history.size(), serial.history.size());
+    for (std::size_t i = 0; i < serial.history.size(); ++i) {
+      ASSERT_EQ(parallel.history[i].flatten(), serial.history[i].flatten())
+          << "step " << i;
+    }
+    const gpusim::DeviceStats& a = parallel.device_total;
+    const gpusim::DeviceStats& b = serial.device_total;
+    EXPECT_EQ(a.kernel_launches, b.kernel_launches);
+    EXPECT_EQ(a.blocks_executed, b.blocks_executed);
+    EXPECT_EQ(a.threads_executed, b.threads_executed);
+    EXPECT_EQ(a.global_read_bytes, b.global_read_bytes);
+    EXPECT_EQ(a.global_write_bytes, b.global_write_bytes);
+    EXPECT_EQ(a.atomic_ops, b.atomic_ops);
+    EXPECT_EQ(a.shared_bytes_allocated, b.shared_bytes_allocated);
+    EXPECT_EQ(parallel.cost.total_s, serial.cost.total_s);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Halo traffic: the message structure on the wire, pinned.  Both backends
 // exchange strips through spmd::Halo; a change to its protocol (batching,

@@ -411,6 +411,179 @@ TEST(GpuSimLaunch, CanonicalReplayAndBindFormsAgree) {
   }
 }
 
+/// Everything a launch sequence leaves behind that must not depend on how
+/// many workers the device spreads its blocks over.
+struct WorkerOutcome {
+  DeviceStats stats;
+  std::vector<std::uint32_t> out, hist, sums;
+  std::vector<std::uint64_t> mx;
+  std::vector<double> dsum, total;
+  std::vector<float> fsum;
+  std::map<std::string, std::array<std::uint64_t, 3>> prof;
+  std::uint64_t binds = 0;
+};
+
+constexpr std::uint32_t kWItems = 5000, kWBlock = 64;
+constexpr std::uint32_t kWGrid = (kWItems + kWBlock - 1) / kWBlock;  // 79
+constexpr std::uint32_t kWTreeBlocks = 41, kWTreeBlock = 32;
+
+double w_value(std::uint32_t i) { return 0.1 * (i % 97) + 1e-7 * i; }
+
+/// A ragged parallel_for (79 blocks of 64 threads over 5000 items) with
+/// integer and floating-point atomics and an in-thread bind, then a
+/// shared-memory tree reduction over 41 blocks whose thread 0 publishes
+/// through an in-thread bind and an FP atomic.  Both launches have enough
+/// blocks to run block-parallel at every worker count tested (4 per
+/// worker at W = 7 is 28).
+WorkerOutcome run_on_workers(unsigned workers, bool profile) {
+  Device dev(0, {.obs = {.profile = profile}, .workers = workers});
+  std::vector<std::uint32_t> host(kWItems);
+  for (std::uint32_t i = 0; i < kWItems; ++i) host[i] = 7 * i + 3;
+  DeviceBuffer<std::uint32_t> in(dev, kWItems, 0, "in");
+  DeviceBuffer<std::uint32_t> out(dev, kWItems, 0, "out");
+  DeviceBuffer<std::uint32_t> hist(dev, 8, 0, "hist");
+  DeviceBuffer<std::uint64_t> mx(dev, 4, 0, "mx");
+  DeviceBuffer<double> dsum(dev, 3, 0.0, "dsum");
+  DeviceBuffer<float> fsum(dev, 2, 0.0f, "fsum");
+  DeviceBuffer<std::uint32_t> sums(dev, kWTreeBlocks, 0, "sums");
+  DeviceBuffer<double> total(dev, 1, 0.0, "total");
+  in.copy_from_host(host);
+
+  using U32 = GlobalSpan<std::uint32_t>;
+  dev.parallel_for(
+      {kWGrid, kWBlock, "w_ragged"},
+      [&](ThreadCtx& t, const U32& src, const U32& dst,
+          const GlobalSpan<std::uint64_t>& m, const GlobalSpan<double>& d) {
+        const auto i = static_cast<std::uint32_t>(t.global_index());
+        if (i >= kWItems) return;
+        const std::uint32_t v = src.read(i);
+        dst.write(i, 2 * v + 1);
+        t.global(hist).atomic_add(i % 8, 1);
+        m.atomic_max(i % 4, (std::uint64_t{v} * 2654435761u) % 100003);
+        d.atomic_add(i % 3, w_value(i));
+        t.global(fsum).atomic_add(i % 2, static_cast<float>(w_value(i)));
+      },
+      in, out, mx, dsum);
+
+  dev.launch_blocks(
+      {kWTreeBlocks, kWTreeBlock, "w_tree"},
+      [&](BlockCtx& blk, const U32& src, const GlobalSpan<double>& tot) {
+        auto sh = blk.shared<std::uint32_t>(kWTreeBlock);
+        blk.for_each_thread([&](std::uint32_t tid) {
+          std::uint32_t acc = 0;
+          for (std::uint32_t i = blk.block_idx() * kWTreeBlock + tid;
+               i < kWItems; i += kWTreeBlocks * kWTreeBlock) {
+            acc += src.read(i);
+          }
+          sh[tid] = acc;
+        });
+        for (std::uint32_t off = kWTreeBlock / 2; off > 0; off >>= 1) {
+          blk.for_each_thread([&](std::uint32_t tid) {
+            if (tid < off) sh[tid] += sh[tid + off];
+          });
+        }
+        blk.for_each_thread([&](std::uint32_t tid) {
+          if (tid != 0) return;
+          blk.global(sums).write(blk.block_idx(), sh[0]);
+          tot.atomic_add(0, 1e-3 * sh[0] + w_value(blk.block_idx()));
+        });
+      },
+      in, total);
+
+  WorkerOutcome o;
+  o.out.resize(kWItems);
+  o.hist.resize(8);
+  o.mx.resize(4);
+  o.dsum.resize(3);
+  o.fsum.resize(2);
+  o.sums.resize(kWTreeBlocks);
+  o.total.resize(1);
+  out.copy_to_host(o.out);
+  hist.copy_to_host(o.hist);
+  mx.copy_to_host(o.mx);
+  dsum.copy_to_host(o.dsum);
+  fsum.copy_to_host(o.fsum);
+  sums.copy_to_host(o.sums);
+  total.copy_to_host(o.total);
+  o.stats = dev.stats();
+  if (obs::KernelProf* prof = dev.profiler()) {
+    o.binds = prof->total_binds();
+    for (const obs::LaunchRecord& rec : prof->drain()) {
+      for (const auto& [name, t] : rec.buffers) {
+        auto& sum = o.prof[name];
+        sum[0] += t.read_bytes;
+        sum[1] += t.write_bytes;
+        sum[2] += t.atomic_ops;
+      }
+    }
+  }
+  return o;
+}
+
+TEST(GpuSimLaunch, WorkerCountInvariant) {
+  const WorkerOutcome ref = run_on_workers(1, /*profile=*/false);
+  // The FP atomics land in canonical serial order: ascending thread index
+  // within the launch, whatever the worker count.
+  std::array<double, 3> dsum{};
+  std::array<float, 2> fsum{};
+  for (std::uint32_t i = 0; i < kWItems; ++i) {
+    dsum[i % 3] = dsum[i % 3] + w_value(i);
+    fsum[i % 2] = fsum[i % 2] + static_cast<float>(w_value(i));
+  }
+  for (std::size_t s = 0; s < 3; ++s) EXPECT_EQ(ref.dsum[s], dsum[s]);
+  for (std::size_t s = 0; s < 2; ++s) EXPECT_EQ(ref.fsum[s], fsum[s]);
+  EXPECT_EQ(ref.stats.blocks_executed, kWGrid + kWTreeBlocks);
+  EXPECT_EQ(ref.stats.threads_executed,
+            kWGrid * kWBlock + kWTreeBlocks * kWTreeBlock * 7u);
+  EXPECT_EQ(ref.stats.shared_bytes_allocated,
+            kWTreeBlocks * kWTreeBlock * sizeof(std::uint32_t));
+  EXPECT_EQ(ref.stats.atomic_ops, 4u * kWItems + kWTreeBlocks);
+
+  const WorkerOutcome ref_prof = run_on_workers(1, /*profile=*/true);
+  ASSERT_EQ(ref_prof.prof.size(), 8u);  // every buffer saw traffic
+  // One bind per launch argument (6) plus one per in-thread bind call.
+  EXPECT_EQ(ref_prof.binds, 6u + 2u * kWItems + kWTreeBlocks);
+  for (const unsigned w : {1u, 2u, 3u, 7u}) {
+    for (const bool profile : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "workers=" << w
+                                      << " profile=" << profile);
+      const WorkerOutcome o = run_on_workers(w, profile);
+      const WorkerOutcome& r = profile ? ref_prof : ref;
+      expect_same_stats(o.stats, r.stats);
+      EXPECT_EQ(o.out, r.out);
+      EXPECT_EQ(o.hist, r.hist);
+      EXPECT_EQ(o.mx, r.mx);
+      EXPECT_EQ(o.dsum, r.dsum);  // bit-exact, not approximately
+      EXPECT_EQ(o.fsum, r.fsum);
+      EXPECT_EQ(o.sums, r.sums);
+      EXPECT_EQ(o.total, r.total);
+      EXPECT_EQ(o.prof, r.prof);
+      EXPECT_EQ(o.binds, r.binds);
+    }
+  }
+  expect_same_stats(ref_prof.stats, ref.stats);
+}
+
+TEST(GpuSimLaunch, ThrowInAHelperWorkerReachesTheCaller) {
+  Device dev(0, {.obs = {}, .workers = 3});
+  DeviceBuffer<int> buf(dev, 16, 0, "small");
+  // Block 40 runs on the last worker and reads out of bounds.
+  EXPECT_THROW(dev.parallel_for({48, 1, "k_oob"},
+                                [&](ThreadCtx& t, const GlobalSpan<int>& b) {
+                                  if (t.block_idx() == 40) (void)b.read(99);
+                                },
+                                buf),
+               Error);
+  EXPECT_FALSE(dev.kernel_active());
+  // The device stays usable.
+  dev.parallel_for({48, 1, "k_ok"}, [&](ThreadCtx& t, const GlobalSpan<int>& b) {
+    if (t.block_idx() < 16) b.write(t.block_idx(), 1);
+  }, buf);
+  std::vector<int> host(16);
+  buf.copy_to_host(host);
+  EXPECT_EQ(host, std::vector<int>(16, 1));
+}
+
 TEST(GpuSimLaunch, ForeignLaunchArgumentThrowsBeforeAnyThreadRuns) {
   Device a(0, {.obs = {}}), b(1, {.obs = {}});
   DeviceBuffer<float> mine(a, 4, 0.0f), foreign(b, 4, 0.0f);

@@ -376,6 +376,27 @@ TEST(KernelCheck, PermutationKeepsCanonicalResult) {
   EXPECT_EQ(run(plain), run(checked));
 }
 
+TEST(KernelCheck, PermutationCleanForCrossBlockFloatAtomics) {
+  // One FP atomic_add per block: the device applies them in block order,
+  // so shuffled and reversed block schedules give the canonical bits with
+  // no tolerate_schedule_variance annotation.
+  Device dev(0, permuted());
+  DeviceBuffer<double> sum(dev, 1, 0.0, "block_sum");
+  dev.launch_blocks({7, 2, "k_block_fp"}, [&](auto& blk) {
+    blk.for_each_thread([&](std::uint32_t tid) {
+      if (tid == 0) blk.global(sum).atomic_add(0, 0.1 * (blk.block_idx() + 1));
+    });
+  });
+  double expect = 0.0;
+  for (int b = 0; b < 7; ++b) expect = expect + 0.1 * (b + 1);
+  std::vector<double> host(1);
+  sum.copy_to_host(host);
+  EXPECT_EQ(host[0], expect);
+  EXPECT_TRUE(dev.checker()->clean()) << dev.checker()->report();
+  EXPECT_EQ(dev.checker()->tolerated_diffs(), 0u);
+  EXPECT_EQ(dev.checker()->launches_permuted(), 1u);
+}
+
 TEST(KernelCheck, ToleratedVarianceIsCountedNotFatal) {
   Device dev(0, permuted());
   DeviceBuffer<double> sum(dev, 1, 0.0, "fp_sum");
@@ -461,6 +482,37 @@ TEST(KernelCheck, SmokeScenarioBitIdenticalUnderPermutedSchedules) {
   EXPECT_EQ(r.digests, base.digests);
   EXPECT_EQ(r.device_total.kernel_launches,
             base.device_total.kernel_launches);
+}
+
+TEST(KernelCheck, MultiBlockTreeReductionPermutesWithoutExemption) {
+  // 64x64 on one rank is 4096 interior slots, so reduce_tree launches 4
+  // blocks whose partial sums meet through FP atomics.  No launch carries
+  // a tolerate_schedule_variance annotation any more: every permuted
+  // replay must reproduce the canonical bits, statistics included.
+  SimParams p = checker_sim_params();
+  p.dim_x = 64;
+  p.dim_y = 64;
+  p.num_steps = 30;
+  const Grid grid(p.dim_x, p.dim_y, p.dim_z);
+  const auto foi = foi_uniform_random(grid, p.num_foi, p.seed);
+
+  gpu::GpuSimOptions plain;
+  plain.num_ranks = 1;
+  plain.record_digests = true;
+  plain.obs = obs::Config{};
+  const auto base = gpu::run_gpu_sim(p, foi, plain);
+
+  gpu::GpuSimOptions perm = plain;
+  perm.obs.kernel_check = true;
+  perm.obs.permute = true;
+  const auto r = gpu::run_gpu_sim(p, foi, perm);
+  EXPECT_EQ(r.check_violations, 0u);
+  EXPECT_EQ(r.digests, base.digests);
+  ASSERT_EQ(r.history.size(), base.history.size());
+  for (std::size_t i = 0; i < r.history.size(); ++i) {
+    EXPECT_EQ(r.history[i].flatten(), base.history[i].flatten())
+        << "step " << i;
+  }
 }
 
 }  // namespace

@@ -21,6 +21,10 @@ Rules (rule name -> what is banned inside a kernel lambda):
   host-fill        .fill( — whole-buffer host-side store mid-kernel
   storage-access   storage_ — reaching into DeviceBuffer internals
   heap-alloc       new / malloc — device code must not allocate
+  member-write     assigning or incrementing a trailing-underscore member
+                   (name_ = ..., ++name_) — a kernel body may run on several
+                   host threads at once (block-parallel launches,
+                   gpusim/device.hpp), so it writes only through its spans
 
 A deliberate exception is suppressed in place with a trailing comment
 naming the rule::
@@ -59,6 +63,9 @@ RULES = [
     ("host-fill", re.compile(r"\.\s*fill\s*\(")),
     ("storage-access", re.compile(r"\bstorage_\b")),
     ("heap-alloc", re.compile(r"\bnew\b|\bmalloc\s*\(")),
+    ("member-write", re.compile(
+        r"\b[A-Za-z]\w*_\s*(?:[-+*/|&^]?=(?!=)|\+\+|--)"
+        r"|(?:\+\+|--)\s*[A-Za-z]\w*_\b")),
 ]
 
 ALLOW_RE = re.compile(r"//.*lint-kernels:\s*allow\(([a-z-]+)\)")
