@@ -10,7 +10,9 @@
 // others) times the number of sites a real step hits, as a fraction of the
 // step wall time of one all-instruments-off run.  Every row must stay under
 // 2%.  If a row starts MISSing, either a site gained work on the disabled
-// path or sites multiplied faster than step cost.
+// path or sites multiplied faster than step cost.  The binary writes its
+// report either way and exits 1 when any row MISSes, so running it is the
+// gate.
 
 #include <chrono>
 #include <cstdio>
@@ -203,13 +205,15 @@ int main() {
   rep.metric("step_ns", step_ns);
 
   TextTable t({"disabled path", "ns per site", "sites per step", "overhead"});
+  bool all_hold = true;
   for (const Row& r : rows) {
     const double overhead =
         step_ns > 0.0 ? r.ns_per_site * r.sites_per_step / step_ns : 0.0;
     t.add_row({r.name, fmt(r.ns_per_site, 3), fmt(r.sites_per_step, 1),
                fmt(overhead * 100.0, 4) + "%"});
-    rep.shape_check(r.name + " overhead <= 2% of step time",
-                    overhead <= 0.02);
+    const bool holds = overhead <= 0.02;
+    all_hold = all_hold && holds;
+    rep.shape_check(r.name + " overhead <= 2% of step time", holds);
     rep.metric(r.prefix + "ns_per_site", r.ns_per_site);
     rep.metric(r.prefix + "sites_per_step", r.sites_per_step);
     rep.metric(r.prefix + "disabled_overhead", overhead);
@@ -224,5 +228,5 @@ int main() {
   spec.area_scale = kGpuAreaScale;
   rep.run_gpu("instrumented gpu 4 ranks 96^2 x30", spec, kRanks);
   rep.finish();
-  return 0;
+  return all_hold ? 0 : 1;
 }

@@ -19,7 +19,13 @@
 //     thread/block context — and only buffers of the same device.
 //   * A launch runs its threads in canonical order (blocks ascending,
 //     threads ascending) as plain nested loops; the flat, permuted loop
-//     exists only for KernelCheck's replays.  With DeviceOptions::workers
+//     exists only for KernelCheck's replays.  A data-parallel launch hands
+//     its body runs of consecutive threads (RunCtx): unchecked, the longest
+//     ranges inside one block and one `segment`-aligned slice of the flat
+//     thread index; with a KernelChecker attached, one thread each, so the
+//     checker sees every thread's accesses under its own (block, thread).
+//     parallel_for runs a per-thread body through the same loop, each
+//     thread with its own ThreadCtx.  With DeviceOptions::workers
 //     W > 1, an unchecked launch of at least 4·W blocks splits its blocks
 //     into W contiguous ranges: the calling thread runs range 0 with the
 //     same nested loop, W - 1 pooled helpers (pool.hpp) run the others.
@@ -179,19 +185,38 @@ class Device {
   obs::MemScope* memscope() { return mem_.get(); }
   const obs::MemScope* memscope() const { return mem_.get(); }
 
-  /// Launches a data-parallel kernel: `body(ThreadCtx&, spans...)` runs
-  /// once per thread.  Threads must be independent (no shared memory); use
-  /// launch_blocks for cooperative kernels.
+  /// Launches a data-parallel kernel: `body(const RunCtx&, spans...)` runs
+  /// once per run of consecutive threads and does the work of each thread
+  /// of its run (RunCtx).  Threads must be independent (no shared memory);
+  /// use launch_blocks for cooperative kernels.
+  ///
+  /// Without a KernelChecker, the runs are the longest ranges of threads
+  /// that stay inside one block and one slice [k * segment, (k + 1) *
+  /// segment) of the flat thread index; a kernel over tiles passes its tile
+  /// side, so that a run never leaves a tile row.  With a checker attached
+  /// every run is one thread, in the schedule's order, so race analysis and
+  /// permuted replays see each thread's accesses under its own identity.
+  /// The launch geometry, and with it threads_executed and
+  /// blocks_executed, is `cfg` either way.
   ///
   /// The trailing buffers are the kernel's pointer arguments: each is bound
   /// to a GlobalSpan<T> once for the whole launch, the way a CUDA launch
-  /// passes device pointers, and every thread receives the same spans
-  /// after its context.  The device check (a foreign buffer throws here,
-  /// at launch) and the KernelProf slot routing therefore run once per
+  /// passes device pointers, and every run receives the same spans after
+  /// its context.  The device check (a foreign buffer throws here, at
+  /// launch) and the KernelProf slot routing therefore run once per
   /// launch, not once per thread; the per-access hooks are unchanged.
   ///
   /// The body may run concurrently for different blocks (workers > 1), so
   /// it must not write host state; results go through its spans.
+  template <typename F, typename... Ts>
+  void parallel_runs(const LaunchConfig& cfg, std::uint32_t segment, F&& body,
+                     DeviceBuffer<Ts>&... args);
+
+  /// The per-thread form of parallel_runs: `body(ThreadCtx&, spans...)`
+  /// runs once per thread, in the same order.  Its runs are whole blocks
+  /// (segment = block_dim), and an adapter hands each thread of a run its
+  /// own ThreadCtx, so the body sees what a segment of 1 would show it at
+  /// the cost of a plain loop over threads.
   template <typename F, typename... Ts>
   void parallel_for(const LaunchConfig& cfg, F&& body,
                     DeviceBuffer<Ts>&... args);
@@ -206,6 +231,7 @@ class Device {
  private:
   template <typename T>
   friend class DeviceBuffer;
+  friend class RunCtx;
   friend class ThreadCtx;
   friend class BlockCtx;
 
@@ -250,9 +276,11 @@ class Device {
   /// buffer's KernelProf slot, or to the DeviceStats aggregates when
   /// profiling is off.  Launches call it once per buffer argument (each
   /// gets its own tally); ThreadCtx::global and BlockCtx::global forward
-  /// to it and share the lane's tally for that destination.
+  /// to it and share the lane's tally for that destination, counting
+  /// `threads` binds (a RunCtx binds once for each thread of its run).
   template <typename T>
-  GlobalSpan<T> bind(DeviceBuffer<T>& buf, Lane& lane, bool launch_arg);
+  GlobalSpan<T> bind(DeviceBuffer<T>& buf, Lane& lane, bool launch_arg,
+                     std::uint32_t threads = 1);
 
   /// Runs fn(lane, spans, b0, b1) over blocks [0, grid): inline on lane 0
   /// when the device has one worker, a KernelChecker is attached (checked
@@ -340,7 +368,7 @@ class Device {
 
   /// Replay schedules only (the canonical order runs as plain nested
   /// loops): position k of the outer iteration (flat thread index for
-  /// parallel_for, block index for launch_blocks).
+  /// parallel_runs, block index for launch_blocks).
   std::uint64_t sched_flat(std::uint64_t k, std::uint64_t n) const {
     return order_ == Order::kReversed ? n - 1 - k : flat_perm_[k];
   }
@@ -454,8 +482,9 @@ void Device::run_with_permutations(const LaunchConfig& cfg, bool cooperative,
 }
 
 template <typename F, typename... Ts>
-void Device::parallel_for(const LaunchConfig& cfg, F&& body,
-                          DeviceBuffer<Ts>&... args) {
+void Device::parallel_runs(const LaunchConfig& cfg, std::uint32_t segment,
+                           F&& body, DeviceBuffer<Ts>&... args) {
+  SIMCOV_REQUIRE(segment > 0, "run segment must be positive");
   begin_kernel(cfg);
   struct Guard {
     Device* d;
@@ -463,29 +492,42 @@ void Device::parallel_for(const LaunchConfig& cfg, F&& body,
   } guard{this};
   using Spans = std::tuple<GlobalSpan<Ts>...>;
   const Spans spans{bind(args, lanes_[0], /*launch_arg=*/true)...};
-  const auto thread = [&](Lane& lane, const Spans& sp, std::uint32_t b,
-                          std::uint32_t t) {
-    ThreadCtx ctx(*this, lane, cfg, b, t);
+  const auto run = [&](Lane& lane, const Spans& sp, std::uint32_t b,
+                       std::uint32_t t, std::uint32_t n) {
+    const RunCtx ctx(*this, lane, cfg, b, t, n);
     std::apply([&](const GlobalSpan<Ts>&... s) { body(ctx, s...); }, sp);
   };
   auto exec = [&] {
     if (order_ == Order::kCanonical) {
-      // Canonical order over blocks [b0, b1), as plain nested loops.
+      // Canonical order over blocks [b0, b1), as plain nested loops over
+      // the flat thread index.  A run ends at its block's end and at the
+      // next multiple of the segment; under a checker every run is a
+      // thread.
       spread(cfg.grid_dim, spans,
              [&](Lane& lane, const Spans& sp, std::uint32_t b0,
                  std::uint32_t b1) __attribute__((flatten)) {
         KernelChecker* const chk = checker_.get();
+        const std::uint32_t bd = cfg.block_dim;
+        const std::uint64_t seg = chk ? 1 : segment;
+        std::uint64_t flat = std::uint64_t{b0} * bd;
+        // The next segment edge; only a helper's range divides for it.
+        std::uint64_t edge = b0 == 0 ? seg : (flat / seg + 1) * seg;
         for (std::uint32_t b = b0; b < b1; ++b) {
           lane.block = b;
-          for (std::uint32_t t = 0; t < cfg.block_dim; ++t) {
+          const std::uint64_t first = flat, end = flat + bd;
+          while (flat < end) {
+            const std::uint64_t stop = std::min(end, edge);
+            const auto t = static_cast<std::uint32_t>(flat - first);
             if (chk) chk->at_thread(b, t);
-            thread(lane, sp, b, t);
+            run(lane, sp, b, t, static_cast<std::uint32_t>(stop - flat));
+            flat = stop;
+            if (flat == edge) edge += seg;
           }
         }
       });
     } else {
       // KernelCheck replay: the flat thread index under the permuted
-      // schedule, split into (block, thread).
+      // schedule, split into (block, thread), one thread per run.
       Lane& lane = lanes_[0];
       const std::uint64_t n = cfg.total_threads();
       for (std::uint64_t k = 0; k < n; ++k) {
@@ -494,7 +536,7 @@ void Device::parallel_for(const LaunchConfig& cfg, F&& body,
         const auto t = static_cast<std::uint32_t>(idx % cfg.block_dim);
         lane.block = b;
         checker_->at_thread(b, t);
-        thread(lane, spans, b, t);
+        run(lane, spans, b, t, 1);
       }
     }
     stats_.blocks_executed += cfg.grid_dim;
@@ -502,6 +544,19 @@ void Device::parallel_for(const LaunchConfig& cfg, F&& body,
     fold_lanes();
   };
   run_launch(cfg, /*cooperative=*/false, exec);
+}
+
+template <typename F, typename... Ts>
+void Device::parallel_for(const LaunchConfig& cfg, F&& body,
+                          DeviceBuffer<Ts>&... args) {
+  parallel_runs(cfg, cfg.block_dim, [&](const RunCtx& r,
+                                        const GlobalSpan<Ts>&... s) {
+    for (std::uint32_t t = r.first_thread(); t < r.first_thread() + r.count();
+         ++t) {
+      ThreadCtx ctx(r, t);
+      body(ctx, s...);
+    }
+  }, args...);
 }
 
 template <typename F, typename... Ts>

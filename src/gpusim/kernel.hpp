@@ -1,7 +1,11 @@
 #pragma once
 // Kernel-side contexts and global-memory views.
 //
-// ThreadCtx: handed to each thread of a data-parallel kernel (parallel_for).
+// RunCtx: handed to each run of a data-parallel kernel (parallel_runs): a
+//   range of consecutive threads of one block, which the body executes as
+//   a flat loop, each thread with its own counted accesses.
+// ThreadCtx: handed to each thread of a parallel_for kernel (a run body
+//   that hands every thread of its run its own context).
 // BlockCtx: handed to each block of a cooperative kernel (launch_blocks);
 //   provides per-block shared memory and phased thread execution where
 //   consecutive for_each_thread calls are separated by an implicit
@@ -273,6 +277,42 @@ class SharedSpan {
   KernelChecker* chk_;
 };
 
+/// Context of one run of a data-parallel kernel (Device::parallel_runs):
+/// threads [first_thread(), first_thread() + count()) of block
+/// block_idx(), consecutive in the flat thread index.  A run stands for
+/// its count() threads: the body does the work of each of them and makes
+/// each one's counted accesses (read_block/write_block count n elements; a
+/// scalar access made once per thread is made count() times), so the
+/// counters cannot tell how a launch was cut into runs.
+class RunCtx {
+ public:
+  std::uint32_t block_idx() const { return block_idx_; }
+  std::uint32_t first_thread() const { return first_; }
+  std::uint32_t count() const { return count_; }
+
+  /// Flat index of the run's first thread (blockIdx.x * blockDim.x +
+  /// threadIdx.x); the run covers [global_index(), global_index() +
+  /// count()).
+  std::uint64_t global_index() const {
+    return static_cast<std::uint64_t>(block_idx_) * block_dim_ + first_;
+  }
+
+  /// Binds a device buffer from inside the run, counted as count() binds:
+  /// one for each thread the run stands for (see ThreadCtx::global).
+  template <typename T>
+  GlobalSpan<T> global(DeviceBuffer<T>& buf) const;
+
+ private:
+  friend class Device;
+  friend class ThreadCtx;
+  RunCtx(Device& d, Lane& lane, const LaunchConfig& cfg, std::uint32_t b,
+         std::uint32_t first, std::uint32_t count);
+
+  Device* device_;
+  Lane* lane_;
+  std::uint32_t block_idx_, first_, count_, block_dim_, grid_dim_;
+};
+
 /// Context of one thread in a data-parallel kernel.
 class ThreadCtx {
  public:
@@ -292,14 +332,17 @@ class ThreadCtx {
 
   /// Binds a device buffer for kernel-side access from inside the thread
   /// (one bind per call; kernels normally take their buffers as launch
-  /// arguments instead, see Device::parallel_for).
+  /// arguments instead, see Device::parallel_runs).
   template <typename T>
   GlobalSpan<T> global(DeviceBuffer<T>& buf) const;
 
  private:
   friend class Device;
-  ThreadCtx(Device& d, Lane& lane, const LaunchConfig& cfg, std::uint32_t b,
-            std::uint32_t t);
+  /// Thread `t` of `run`'s block.
+  ThreadCtx(const RunCtx& run, std::uint32_t t)
+      : device_(run.device_), lane_(run.lane_), block_idx_(run.block_idx_),
+        thread_idx_(t), block_dim_(run.block_dim_),
+        grid_dim_(run.grid_dim_) {}
 
   Device* device_;
   Lane* lane_;

@@ -8,14 +8,15 @@
 
 namespace simcov::gpusim {
 
-inline ThreadCtx::ThreadCtx(Device& d, Lane& lane, const LaunchConfig& cfg,
-                            std::uint32_t b, std::uint32_t t)
-    : device_(&d), lane_(&lane), block_idx_(b), thread_idx_(t),
+inline RunCtx::RunCtx(Device& d, Lane& lane, const LaunchConfig& cfg,
+                      std::uint32_t b, std::uint32_t first,
+                      std::uint32_t count)
+    : device_(&d), lane_(&lane), block_idx_(b), first_(first), count_(count),
       block_dim_(cfg.block_dim), grid_dim_(cfg.grid_dim) {}
 
 template <typename T>
-GlobalSpan<T> Device::bind(DeviceBuffer<T>& buf, Lane& lane,
-                           bool launch_arg) {
+GlobalSpan<T> Device::bind(DeviceBuffer<T>& buf, Lane& lane, bool launch_arg,
+                           std::uint32_t threads) {
   SIMCOV_REQUIRE(&buf.device() == this,
                  "kernel bound a buffer from a different device");
   // KernelProf substitution: when the buffer carries a profiler slot, the
@@ -32,9 +33,14 @@ GlobalSpan<T> Device::bind(DeviceBuffer<T>& buf, Lane& lane,
     tally = &lane.new_tally(slot);
   } else {
     tally = &lane.tally_for(slot);
-    ++tally->binds;
+    tally->binds += threads;
   }
   return GlobalSpan<T>(buf.raw(), buf.size(), tally, checker());
+}
+
+template <typename T>
+GlobalSpan<T> RunCtx::global(DeviceBuffer<T>& buf) const {
+  return device_->bind(buf, *lane_, /*launch_arg=*/false, count_);
 }
 
 template <typename T>

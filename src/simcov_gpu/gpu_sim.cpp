@@ -27,6 +27,7 @@ namespace {
 using gpusim::Device;
 using gpusim::DeviceBuffer;
 using gpusim::LaunchConfig;
+using gpusim::RunCtx;
 
 constexpr bool transient_epi(EpiState s) {
   return s == EpiState::kIncubating || s == EpiState::kExpressing ||
@@ -399,16 +400,21 @@ class GpuRank {
   }
 
   // ---- kernels -------------------------------------------------------------------
-  // Every kernel takes its buffers as launch arguments (Device::parallel_for):
+  // Every kernel takes its buffers as launch arguments (Device::parallel_runs):
   // each is bound to a GlobalSpan once per launch and handed to every thread
-  // after the thread's own parameters, in argument order.
+  // or run after its own parameters, in argument order.
 
-  /// Runs `body(x, y, slot, spans...)` for every interior voxel of every
-  /// active tile, with `spans` bound from `args`.  One thread per tile voxel
-  /// (slots_per_tile, not tile_stride: the stride padding never gets a
-  /// thread); slots are tile_stride-based so they land in the padded
-  /// storage.  The thread index fits in 32 bits (it is below
-  /// interior_slots()), so it splits over the active list divide-free.
+  /// Runs `body(x0, y, slot0, n, spans...)` over every interior voxel of
+  /// every active tile, with `spans` bound from `args`, one tile-row run at
+  /// a time: voxels (x0 + j, y) at slots slot0 + j for j < n.  The launch
+  /// has one thread per tile voxel (slots_per_tile, not tile_stride: the
+  /// stride padding never gets a thread); its runs are cut at tile-row
+  /// edges (segment = tile side) and then clipped to the domain, and the
+  /// body makes each voxel's counted accesses, so the counters are those
+  /// of one thread per voxel (DESIGN.md, "Run-granular launches").  Slots
+  /// are tile_stride-based so they land in the padded storage.  The thread
+  /// index fits in 32 bits (it is below interior_slots()), so it splits
+  /// over the active list divide-free.
   template <typename F, typename... Ts>
   void for_active_voxels(const char* name, F&& body,
                          DeviceBuffer<Ts>&... args) {
@@ -416,18 +422,24 @@ class GpuRank {
     if (list.empty()) return;
     const Reciprocal spt = lay_.slots_per_tile_div();
     const std::uint32_t ts = lay_.tile_stride();
+    const auto side = static_cast<std::uint32_t>(lay_.tile_side());
+    // A multiple of the segment: a run lies wholly below it or above it.
     const std::uint64_t items = list.size() * spt.divisor();
-    dev_.parallel_for(tile_launch(name), [&, items, spt, ts](
-                          auto& t, const auto& tiles, const auto&... spans) {
-      const std::uint64_t i = t.global_index();
+    dev_.parallel_runs(tile_launch(name), side, [&, items, spt, ts](
+                           const RunCtx& r, const auto& tiles,
+                           const auto&... spans) {
+      const std::uint64_t i = r.global_index();
       if (i >= items) return;
       const std::uint32_t k = spt.div(static_cast<std::uint32_t>(i));
       const std::uint32_t in = static_cast<std::uint32_t>(i) - k * spt.divisor();
-      const std::uint32_t tile = tiles.read(k);
-      std::int32_t x, y;
-      lay_.tile_voxel_xy(tile, in, x, y);
-      if (x >= w_ || y >= h_) return;  // tile padding
-      body(x, y, tile * ts + in, spans...);
+      // Every thread of the run reads the tile id, padding threads too.
+      std::uint32_t tile = 0;
+      for (std::uint32_t j = 0; j < r.count(); ++j) tile = tiles.read(k);
+      std::int32_t x0, y;
+      lay_.tile_voxel_xy(tile, in, x0, y);
+      if (x0 >= w_ || y >= h_) return;  // tile padding
+      const auto n = std::min(r.count(), static_cast<std::uint32_t>(w_ - x0));
+      body(x0, y, tile * ts + in, n, spans...);
     }, active_tiles_dev_, args...);
   }
 
@@ -463,61 +475,79 @@ class GpuRank {
     }, active_tiles_dev_, args...);
   }
 
-  /// Runs `body(slot, spans...)` for every ghost slot (the ghost region is
-  /// a contiguous suffix of the layout).
+  /// Runs `body(slot0, n, spans...)` over every ghost slot (the ghost
+  /// region is a contiguous suffix of the layout), one run of slots
+  /// [slot0, slot0 + n) at a time; a run is at most a block of threads.
   template <typename F, typename... Ts>
   void for_ghost_slots(const char* name, F&& body, DeviceBuffer<Ts>&... args) {
     const std::uint32_t base = lay_.interior_slots();
-    const std::uint64_t n = lay_.size() - base;
-    dev_.parallel_for(linear_launch(n, name),
-                      [&, base, n](auto& t, const auto&... spans) {
-      const std::uint64_t i = t.global_index();
-      if (i >= n) return;
-      body(base + static_cast<std::uint32_t>(i), spans...);
+    const std::uint64_t slots = lay_.size() - base;
+    const LaunchConfig cfg = linear_launch(slots, name);
+    dev_.parallel_runs(cfg, cfg.block_dim, [&, base, slots](
+                           const RunCtx& r, const auto&... spans) {
+      const std::uint64_t i = r.global_index();
+      if (i >= slots) return;
+      const auto n = static_cast<std::uint32_t>(
+          std::min<std::uint64_t>(r.count(), slots - i));
+      body(base + static_cast<std::uint32_t>(i), n, spans...);
     }, args...);
+  }
+
+  /// Zeroes `span`'s slots [slot0, slot0 + n): one counted write each.
+  template <typename Span>
+  static void zero_run(const Span& span, std::uint32_t slot0,
+                       std::uint32_t n) {
+    auto* out = span.write_block(slot0, n);
+    std::fill_n(out, n, 0);
   }
 
   void k_clear_bids() {
     for_active_voxels("k_clear_bids", [](std::int32_t, std::int32_t,
-                          std::uint32_t slot, const auto& move,
-                          const auto& bind, const auto& kind,
-                          const auto& elig) {
-      move.write(slot, 0);
-      bind.write(slot, 0);
-      kind.write(slot, 0);
-      elig.write(slot, 0);
+                          std::uint32_t slot0, std::uint32_t n,
+                          const auto& move, const auto& bind,
+                          const auto& kind, const auto& elig) {
+      zero_run(move, slot0, n);
+      zero_run(bind, slot0, n);
+      zero_run(kind, slot0, n);
+      zero_run(elig, slot0, n);
     }, bid_move_, bid_bind_, intent_kind_, eligible_);
-    for_ghost_slots("k_clear_bids_ghost", [](std::uint32_t slot,
-                        const auto& move, const auto& bind, const auto& kind) {
-      move.write(slot, 0);
-      bind.write(slot, 0);
-      kind.write(slot, 0);
+    for_ghost_slots("k_clear_bids_ghost", [](std::uint32_t slot0,
+                        std::uint32_t n, const auto& move, const auto& bind,
+                        const auto& kind) {
+      zero_run(move, slot0, n);
+      zero_run(bind, slot0, n);
+      zero_run(kind, slot0, n);
     }, bid_move_, bid_bind_, intent_kind_);
   }
 
   void k_age_and_occupancy() {
     for_active_voxels("k_age_and_occupancy", [](std::int32_t, std::int32_t,
-                          std::uint32_t slot, const auto& tc, const auto& occ,
-                          const auto& bind, const auto& timer,
-                          const auto& elig) {
-      if (!tc.read(slot)) {
-        occ.write(slot, 0);
-        return;
-      }
-      const std::uint32_t b = bind.read(slot);
-      if (b > 0) {
-        bind.write(slot, b - 1);
-      } else {
-        const std::uint32_t life = timer.read(slot);
-        if (life <= 1) {
-          tc.write(slot, 0);
-          timer.write(slot, 0);
-        } else {
-          timer.write(slot, life - 1);
-          elig.write(slot, 1);
+                          std::uint32_t slot0, std::uint32_t n,
+                          const auto& tc, const auto& occ, const auto& bind,
+                          const auto& timer, const auto& elig) {
+      const std::uint8_t* has = tc.read_block(slot0, n);
+      std::uint8_t* out = occ.write_block(slot0, n);
+      for (std::uint32_t j = 0; j < n; ++j) {
+        if (!has[j]) {
+          out[j] = 0;
+          continue;
         }
+        const std::uint32_t slot = slot0 + j;
+        const std::uint32_t b = bind.read(slot);
+        if (b > 0) {
+          bind.write(slot, b - 1);
+        } else {
+          const std::uint32_t life = timer.read(slot);
+          if (life <= 1) {
+            tc.write(slot, 0);
+            timer.write(slot, 0);
+          } else {
+            timer.write(slot, life - 1);
+            elig.write(slot, 1);
+          }
+        }
+        out[j] = tc.read(slot);
       }
-      occ.write(slot, tc.read(slot));
     }, tcell_, occupancy_, tcell_bind_, tcell_timer_, eligible_);
   }
 
@@ -525,23 +555,28 @@ class GpuRank {
   /// exchanged end-of-previous-step T cell state (the same deterministic
   /// rule the owner applies, so both sides agree on who blocks movement).
   void k_ghost_occupancy() {
-    for_ghost_slots("k_ghost_occupancy", [](std::uint32_t slot,
-                        const auto& tc, const auto& bind, const auto& timer,
-                        const auto& occupancy) {
-      std::uint8_t occ = 0;
-      if (tc.read(slot)) {
-        const std::uint32_t b = bind.read(slot);
-        const std::uint32_t life = timer.read(slot);
-        occ = (b > 0 || life > 1) ? 1 : 0;
+    for_ghost_slots("k_ghost_occupancy", [](std::uint32_t slot0,
+                        std::uint32_t n, const auto& tc, const auto& bind,
+                        const auto& timer, const auto& occupancy) {
+      const std::uint8_t* has = tc.read_block(slot0, n);
+      std::uint8_t* out = occupancy.write_block(slot0, n);
+      for (std::uint32_t j = 0; j < n; ++j) {
+        std::uint8_t occ = 0;
+        if (has[j]) {
+          const std::uint32_t b = bind.read(slot0 + j);
+          const std::uint32_t life = timer.read(slot0 + j);
+          occ = (b > 0 || life > 1) ? 1 : 0;
+        }
+        out[j] = occ;
       }
-      occupancy.write(slot, occ);
     }, tcell_, tcell_bind_, tcell_timer_, occupancy_);
   }
 
   void k_intents() {
     const std::uint64_t step = step_;
-    for_active_voxels("k_intents", [&, step](std::int32_t x, std::int32_t y,
-                                              std::uint32_t slot,
+    for_active_voxels("k_intents", [&, step](std::int32_t x0, std::int32_t y,
+                                              std::uint32_t slot0,
+                                              std::uint32_t n,
                                               const auto& elig, const auto& epi,
                                               const auto& kind,
                                               const auto& target,
@@ -550,37 +585,42 @@ class GpuRank {
                                               const auto& timer,
                                               const auto& move,
                                               const auto& bind) {
-      if (!elig.read(slot)) return;
-      // Neighbour view in contract order over the *global* grid bounds.
-      rules::NeighbourView nb;
-      const std::int32_t gx = sub_.origin.x + x, gy = sub_.origin.y + y;
-      const std::array<std::array<std::int32_t, 2>, 4> offs{
-          {{-1, 0}, {+1, 0}, {0, -1}, {0, +1}}};
-      for (const auto& o : offs) {
-        const std::int32_t nx = gx + o[0], ny = gy + o[1];
-        if (nx < 0 || nx >= grid_.dim_x() || ny < 0 || ny >= grid_.dim_y())
-          continue;
-        const std::uint32_t ns = lay_.index(x + o[0], y + o[1]);
-        nb.ids[static_cast<std::size_t>(nb.count)] =
-            static_cast<VoxelId>(ny) * grid_.dim_x() + nx;
-        nb.epi[static_cast<std::size_t>(nb.count)] =
-            static_cast<EpiState>(epi.read(ns));
-        ++nb.count;
+      const std::uint8_t* eligible = elig.read_block(slot0, n);
+      for (std::uint32_t j = 0; j < n; ++j) {
+        if (!eligible[j]) continue;
+        const std::int32_t x = x0 + static_cast<std::int32_t>(j);
+        const std::uint32_t slot = slot0 + j;
+        // Neighbour view in contract order over the *global* grid bounds.
+        rules::NeighbourView nb;
+        const std::int32_t gx = sub_.origin.x + x, gy = sub_.origin.y + y;
+        const std::array<std::array<std::int32_t, 2>, 4> offs{
+            {{-1, 0}, {+1, 0}, {0, -1}, {0, +1}}};
+        for (const auto& o : offs) {
+          const std::int32_t nx = gx + o[0], ny = gy + o[1];
+          if (nx < 0 || nx >= grid_.dim_x() || ny < 0 || ny >= grid_.dim_y())
+            continue;
+          const std::uint32_t ns = lay_.index(x + o[0], y + o[1]);
+          nb.ids[static_cast<std::size_t>(nb.count)] =
+              static_cast<VoxelId>(ny) * grid_.dim_x() + nx;
+          nb.epi[static_cast<std::size_t>(nb.count)] =
+              static_cast<EpiState>(epi.read(ns));
+          ++nb.count;
+        }
+        const VoxelId v = gid(x, y);
+        const rules::Intent intent = rules::tcell_intent(
+            rng_, step, v, static_cast<EpiState>(epi.read(slot)), nb);
+        if (intent.kind == rules::IntentKind::kNone) continue;
+        kind.write(slot, static_cast<std::uint8_t>(intent.kind));
+        target.write(slot, intent.target);
+        bid.write(slot, intent.bid);
+        itimer.write(slot, timer.read(slot));
+        // "Assign winners": store the bid at the target (atomicMax); the
+        // target may be a ghost slot.
+        const std::uint32_t tslot = slot_of_global(intent.target);
+        const auto& field =
+            (intent.kind == rules::IntentKind::kMove) ? move : bind;
+        field.atomic_max(tslot, intent.bid);
       }
-      const VoxelId v = gid(x, y);
-      const rules::Intent intent = rules::tcell_intent(
-          rng_, step, v, static_cast<EpiState>(epi.read(slot)), nb);
-      if (intent.kind == rules::IntentKind::kNone) return;
-      kind.write(slot, static_cast<std::uint8_t>(intent.kind));
-      target.write(slot, intent.target);
-      bid.write(slot, intent.bid);
-      itimer.write(slot, timer.read(slot));
-      // "Assign winners": store the bid at the target (atomicMax); the
-      // target may be a ghost slot.
-      const std::uint32_t tslot = slot_of_global(intent.target);
-      const auto& field =
-          (intent.kind == rules::IntentKind::kMove) ? move : bind;
-      field.atomic_max(tslot, intent.bid);
     }, eligible_, epi_state_, intent_kind_, intent_target_, intent_bid_,
        intent_timer_, tcell_timer_, bid_move_, bid_bind_);
   }
@@ -604,51 +644,59 @@ class GpuRank {
 
   void k_moves_own() {
     for_active_voxels("k_moves_own", [&](std::int32_t, std::int32_t,
-                          std::uint32_t slot, const auto& kind,
+                          std::uint32_t slot0, std::uint32_t n,
+                          const auto& kind,
                           const auto& target_of, const auto& bid_of,
                           const auto& bids, const auto& occupancy,
                           const auto& tc, const auto& timer,
                           const auto& bind) {
-      if (kind.read(slot) !=
-          static_cast<std::uint8_t>(rules::IntentKind::kMove))
-        return;
-      const VoxelId target = target_of.read(slot);
-      const std::uint64_t bid = bid_of.read(slot);
-      const std::uint32_t tslot = slot_of_global(target);
-      if (bids.read(tslot) != bid) return;   // lost tiebreak
-      if (occupancy.read(tslot)) return;     // ran into a cell
-      // Winner: erase at the source; instantiate when the target is ours
-      // (otherwise the owner instantiates from our exchanged intent).
-      if (global_is_mine(target)) {
-        tc.write(tslot, 1);
-        timer.write(tslot, timer.read(slot));
-        bind.write(tslot, 0);
+      const std::uint8_t* kinds = kind.read_block(slot0, n);
+      for (std::uint32_t j = 0; j < n; ++j) {
+        if (kinds[j] != static_cast<std::uint8_t>(rules::IntentKind::kMove))
+          continue;
+        const std::uint32_t slot = slot0 + j;
+        const VoxelId target = target_of.read(slot);
+        const std::uint64_t bid = bid_of.read(slot);
+        const std::uint32_t tslot = slot_of_global(target);
+        if (bids.read(tslot) != bid) continue;   // lost tiebreak
+        if (occupancy.read(tslot)) continue;     // ran into a cell
+        // Winner: erase at the source; instantiate when the target is ours
+        // (otherwise the owner instantiates from our exchanged intent).
+        if (global_is_mine(target)) {
+          tc.write(tslot, 1);
+          timer.write(tslot, timer.read(slot));
+          bind.write(tslot, 0);
+        }
+        tc.write(slot, 0);
+        timer.write(slot, 0);
       }
-      tc.write(slot, 0);
-      timer.write(slot, 0);
     }, intent_kind_, intent_target_, intent_bid_, bid_move_, occupancy_,
        tcell_, tcell_timer_, tcell_bind_);
   }
 
   void k_moves_entrants() {
-    for_ghost_slots("k_moves_entrants", [&](std::uint32_t slot,
-                        const auto& kind, const auto& target_of,
-                        const auto& bid_of, const auto& bids,
+    for_ghost_slots("k_moves_entrants", [&](std::uint32_t slot0,
+                        std::uint32_t n, const auto& kind,
+                        const auto& target_of, const auto& bid_of,
+                        const auto& bids,
                         const auto& occupancy, const auto& tc,
                         const auto& timer, const auto& itimer,
                         const auto& bind) {
-      if (kind.read(slot) !=
-          static_cast<std::uint8_t>(rules::IntentKind::kMove))
-        return;
-      const VoxelId target = target_of.read(slot);
-      if (!global_is_mine(target)) return;
-      const std::uint64_t bid = bid_of.read(slot);
-      const std::uint32_t tslot = slot_of_global(target);
-      if (bids.read(tslot) != bid) return;
-      if (occupancy.read(tslot)) return;
-      tc.write(tslot, 1);
-      timer.write(tslot, itimer.read(slot));
-      bind.write(tslot, 0);
+      const std::uint8_t* kinds = kind.read_block(slot0, n);
+      for (std::uint32_t j = 0; j < n; ++j) {
+        if (kinds[j] != static_cast<std::uint8_t>(rules::IntentKind::kMove))
+          continue;
+        const std::uint32_t slot = slot0 + j;
+        const VoxelId target = target_of.read(slot);
+        if (!global_is_mine(target)) continue;
+        const std::uint64_t bid = bid_of.read(slot);
+        const std::uint32_t tslot = slot_of_global(target);
+        if (bids.read(tslot) != bid) continue;
+        if (occupancy.read(tslot)) continue;
+        tc.write(tslot, 1);
+        timer.write(tslot, itimer.read(slot));
+        bind.write(tslot, 0);
+      }
     }, intent_kind_, intent_target_, intent_bid_, bid_move_, occupancy_,
        tcell_, tcell_timer_, intent_timer_, tcell_bind_);
   }
@@ -656,7 +704,8 @@ class GpuRank {
   void k_binds_own() {
     const std::uint64_t step = step_;
     for_active_voxels("k_binds_own", [&, step](std::int32_t, std::int32_t,
-                                               std::uint32_t slot,
+                                               std::uint32_t slot0,
+                                               std::uint32_t n,
                                                const auto& kind,
                                                const auto& target_of,
                                                const auto& bid_of,
@@ -664,22 +713,26 @@ class GpuRank {
                                                const auto& epi,
                                                const auto& bind,
                                                const auto& epi_timer) {
-      if (kind.read(slot) !=
-          static_cast<std::uint8_t>(rules::IntentKind::kBind))
-        return;
-      const VoxelId target = target_of.read(slot);
-      const std::uint64_t bid = bid_of.read(slot);
-      const std::uint32_t tslot = slot_of_global(target);
-      if (bids.read(tslot) != bid) return;
-      if (static_cast<EpiState>(epi.read(tslot)) != EpiState::kExpressing)
-        return;
-      bind.write(slot, static_cast<std::uint32_t>(params_.tcell_binding_period));
-      if (global_is_mine(target)) {
-        epi.write(tslot, static_cast<std::uint8_t>(EpiState::kApoptotic));
-        epi_timer.write(
-            tslot, rules::sample_period(rng_, step, target,
-                                        RngStream::kApoptosisPeriod,
-                                        params_.apoptosis_period));
+      const std::uint8_t* kinds = kind.read_block(slot0, n);
+      for (std::uint32_t j = 0; j < n; ++j) {
+        if (kinds[j] != static_cast<std::uint8_t>(rules::IntentKind::kBind))
+          continue;
+        const std::uint32_t slot = slot0 + j;
+        const VoxelId target = target_of.read(slot);
+        const std::uint64_t bid = bid_of.read(slot);
+        const std::uint32_t tslot = slot_of_global(target);
+        if (bids.read(tslot) != bid) continue;
+        if (static_cast<EpiState>(epi.read(tslot)) != EpiState::kExpressing)
+          continue;
+        bind.write(slot,
+                   static_cast<std::uint32_t>(params_.tcell_binding_period));
+        if (global_is_mine(target)) {
+          epi.write(tslot, static_cast<std::uint8_t>(EpiState::kApoptotic));
+          epi_timer.write(
+              tslot, rules::sample_period(rng_, step, target,
+                                          RngStream::kApoptosisPeriod,
+                                          params_.apoptosis_period));
+        }
       }
     }, intent_kind_, intent_target_, intent_bid_, bid_bind_, epi_state_,
        tcell_bind_, epi_timer_);
@@ -687,28 +740,32 @@ class GpuRank {
 
   void k_binds_ghost() {
     const std::uint64_t step = step_;
-    for_ghost_slots("k_binds_ghost", [&, step](std::uint32_t slot,
+    for_ghost_slots("k_binds_ghost", [&, step](std::uint32_t slot0,
+                                               std::uint32_t n,
                                                const auto& kind,
                                                const auto& target_of,
                                                const auto& bid_of,
                                                const auto& bids,
                                                const auto& epi,
                                                const auto& epi_timer) {
-      if (kind.read(slot) !=
-          static_cast<std::uint8_t>(rules::IntentKind::kBind))
-        return;
-      const VoxelId target = target_of.read(slot);
-      if (!global_is_mine(target)) return;
-      const std::uint64_t bid = bid_of.read(slot);
-      const std::uint32_t tslot = slot_of_global(target);
-      if (bids.read(tslot) != bid) return;
-      if (static_cast<EpiState>(epi.read(tslot)) != EpiState::kExpressing)
-        return;
-      epi.write(tslot, static_cast<std::uint8_t>(EpiState::kApoptotic));
-      epi_timer.write(
-          tslot, rules::sample_period(rng_, step, target,
-                                      RngStream::kApoptosisPeriod,
-                                      params_.apoptosis_period));
+      const std::uint8_t* kinds = kind.read_block(slot0, n);
+      for (std::uint32_t j = 0; j < n; ++j) {
+        if (kinds[j] != static_cast<std::uint8_t>(rules::IntentKind::kBind))
+          continue;
+        const std::uint32_t slot = slot0 + j;
+        const VoxelId target = target_of.read(slot);
+        if (!global_is_mine(target)) continue;
+        const std::uint64_t bid = bid_of.read(slot);
+        const std::uint32_t tslot = slot_of_global(target);
+        if (bids.read(tslot) != bid) continue;
+        if (static_cast<EpiState>(epi.read(tslot)) != EpiState::kExpressing)
+          continue;
+        epi.write(tslot, static_cast<std::uint8_t>(EpiState::kApoptotic));
+        epi_timer.write(
+            tslot, rules::sample_period(rng_, step, target,
+                                        RngStream::kApoptosisPeriod,
+                                        params_.apoptosis_period));
+      }
     }, intent_kind_, intent_target_, intent_bid_, bid_bind_, epi_state_,
        epi_timer_);
   }
@@ -750,19 +807,25 @@ class GpuRank {
 
   void k_epithelial() {
     const std::uint64_t step = step_;
-    for_active_voxels("k_epithelial", [&, step](std::int32_t x,
+    for_active_voxels("k_epithelial", [&, step](std::int32_t x0,
                                                  std::int32_t y,
-                                                 std::uint32_t slot,
+                                                 std::uint32_t slot0,
+                                                 std::uint32_t n,
                                                  const auto& epi,
                                                  const auto& timer,
                                                  const auto& virus) {
-      const auto s = static_cast<EpiState>(epi.read(slot));
-      if (s == EpiState::kEmpty || s == EpiState::kDead) return;
-      const rules::EpiUpdate u = rules::update_epithelial(
-          rng_, step, gid(x, y), s, timer.read(slot),
-          virus.read(slot), params_);
-      epi.write(slot, static_cast<std::uint8_t>(u.state));
-      timer.write(slot, u.timer);
+      const std::uint8_t* states = epi.read_block(slot0, n);
+      for (std::uint32_t j = 0; j < n; ++j) {
+        const auto s = static_cast<EpiState>(states[j]);
+        if (s == EpiState::kEmpty || s == EpiState::kDead) continue;
+        const std::int32_t x = x0 + static_cast<std::int32_t>(j);
+        const std::uint32_t slot = slot0 + j;
+        const rules::EpiUpdate u = rules::update_epithelial(
+            rng_, step, gid(x, y), s, timer.read(slot),
+            virus.read(slot), params_);
+        epi.write(slot, static_cast<std::uint8_t>(u.state));
+        timer.write(slot, u.timer);
+      }
     }, epi_state_, epi_timer_, virus_);
   }
 
@@ -880,8 +943,8 @@ class GpuRank {
       for (std::int32_t j = 0; j < n; ++j) out[j] = 0.0f;
     }, tmp_);
     for_ghost_slots("field_rezero_ghost",
-                    [](std::uint32_t slot, const auto& tmp) {
-      tmp.write(slot, 0.0f);
+                    [](std::uint32_t slot0, std::uint32_t n, const auto& tmp) {
+      zero_run(tmp, slot0, n);
     }, tmp_);
   }
 

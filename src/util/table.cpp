@@ -74,7 +74,11 @@ std::string fmt(double value, int prec) {
 }
 
 std::string fmt_resources(int gpus, int cpus) {
-  return "{" + std::to_string(gpus) + "," + std::to_string(cpus) + "}";
+  // A stream, not `"{" + std::to_string(...)`: GCC 12 reports a false
+  // -Wrestrict on that concatenation, which stops -Werror builds.
+  std::ostringstream os;
+  os << '{' << gpus << ',' << cpus << '}';
+  return os.str();
 }
 
 }  // namespace simcov

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <map>
 #include <numeric>
@@ -562,6 +563,144 @@ TEST(GpuSimLaunch, WorkerCountInvariant) {
     }
   }
   expect_same_stats(ref_prof.stats, ref.stats);
+}
+
+/// What a run-granular launch leaves behind (RunEquivalence below).
+struct RunOutcome {
+  DeviceStats stats;
+  std::vector<std::uint32_t> out, hist;
+  std::vector<std::uint64_t> mx;
+  std::map<std::string, std::array<std::uint64_t, 3>> prof;
+  std::uint64_t binds = 0;
+};
+
+constexpr std::uint32_t kRBlock = 96;
+
+/// A ragged run-body kernel: `grid` blocks of 96 threads over 20 fewer
+/// items, cut into runs at multiples of `segment`.  Each run reads and
+/// writes its items as blocks, makes one integer atomic_add and one
+/// atomic_max per item and binds `hist` from inside the run.
+RunOutcome run_segments(std::uint32_t grid, std::uint32_t segment,
+                        unsigned workers, const obs::Config& cfg) {
+  const std::uint32_t items = grid * kRBlock - 20;
+  Device dev(0, {.obs = cfg, .workers = workers});
+  std::vector<std::uint32_t> host(items);
+  for (std::uint32_t i = 0; i < items; ++i) host[i] = 5 * i + 2;
+  DeviceBuffer<std::uint32_t> in(dev, items, 0, "in");
+  DeviceBuffer<std::uint32_t> out(dev, items, 0, "out");
+  DeviceBuffer<std::uint32_t> hist(dev, 8, 0, "hist");
+  DeviceBuffer<std::uint64_t> mx(dev, 4, 0, "mx");
+  in.copy_from_host(host);
+
+  using U32 = GlobalSpan<std::uint32_t>;
+  dev.parallel_runs(
+      {grid, kRBlock, "runs"}, segment,
+      [&](const RunCtx& r, const U32& src, const U32& dst,
+          const GlobalSpan<std::uint64_t>& m) {
+        const U32 h = r.global(hist);  // one bind per thread of the run
+        const std::uint64_t i0 = r.global_index();
+        if (i0 >= items) return;
+        const auto n = static_cast<std::uint32_t>(
+            std::min<std::uint64_t>(r.count(), items - i0));
+        const std::uint32_t* a = src.read_block(i0, n);
+        std::uint32_t* b = dst.write_block(i0, n);
+        for (std::uint32_t j = 0; j < n; ++j) {
+          const auto i = static_cast<std::uint32_t>(i0) + j;
+          b[j] = 3 * a[j] + 1;
+          h.atomic_add(i % 8, 1);
+          m.atomic_max(i % 4, (std::uint64_t{a[j]} * 2654435761u) % 100003);
+        }
+      },
+      in, out, mx);
+
+  RunOutcome o;
+  o.out.resize(items);
+  o.hist.resize(8);
+  o.mx.resize(4);
+  out.copy_to_host(o.out);
+  hist.copy_to_host(o.hist);
+  mx.copy_to_host(o.mx);
+  o.stats = dev.stats();
+  if (obs::KernelProf* prof = dev.profiler()) {
+    o.binds = prof->total_binds();
+    for (const obs::LaunchRecord& rec : prof->drain()) {
+      for (const auto& [name, t] : rec.buffers) {
+        o.prof[name] = {t.read_bytes, t.write_bytes, t.atomic_ops};
+      }
+    }
+  }
+  if (const KernelChecker* chk = dev.checker()) {
+    EXPECT_TRUE(chk->clean()) << chk->report();
+  }
+  return o;
+}
+
+TEST(GpuSimLaunch, RunsCountLikeTheirThreadsForEverySegmentAndWorkerCount) {
+  // 7 blocks stay below the block-parallel threshold; 29 blocks spread
+  // over 3 workers.  The checked launches run one thread per run.
+  for (const std::uint32_t grid : {7u, 29u}) {
+    const std::uint32_t items = grid * kRBlock - 20;
+    const RunOutcome checked =
+        run_segments(grid, 1, 1, {.kernel_check = true, .profile = true});
+    EXPECT_EQ(checked.stats.threads_executed, grid * kRBlock);
+    EXPECT_EQ(checked.stats.blocks_executed, grid);
+    EXPECT_EQ(checked.stats.global_read_bytes, items * 4u);
+    EXPECT_EQ(checked.stats.global_write_bytes, items * 4u);
+    EXPECT_EQ(checked.stats.atomic_ops, 2u * items);
+    // Three launch arguments, plus one in-run bind per launched thread.
+    EXPECT_EQ(checked.binds, 3u + grid * kRBlock);
+    ASSERT_EQ(checked.prof.size(), 4u);
+    for (std::uint32_t i = 0; i < items; ++i) {
+      ASSERT_EQ(checked.out[i], 3 * (5 * i + 2) + 1);
+    }
+    for (const std::uint32_t segment : {1u, 5u, 8u, 96u, 1000u}) {
+      for (const unsigned w : {1u, 3u}) {
+        for (const bool check : {false, true}) {
+          SCOPED_TRACE(testing::Message()
+                       << "grid=" << grid << " segment=" << segment
+                       << " workers=" << w << " permute=" << check);
+          const RunOutcome o = run_segments(
+              grid, segment, w,
+              {.kernel_check = check, .permute = check, .profile = true});
+          expect_same_stats(o.stats, checked.stats);
+          EXPECT_EQ(o.out, checked.out);
+          EXPECT_EQ(o.hist, checked.hist);
+          EXPECT_EQ(o.mx, checked.mx);
+          EXPECT_EQ(o.prof, checked.prof);
+          EXPECT_EQ(o.binds, checked.binds);
+        }
+      }
+    }
+  }
+}
+
+TEST(GpuSimLaunch, RunsEndAtBlockAndSegmentEdgesAndAreThreadsUnderACheck) {
+  // 3 blocks of 12 threads, segment 5: the flat index is cut at 5, 10,
+  // 15, ... and at every block end.
+  const auto runs_of = [](const obs::Config& cfg) {
+    Device dev(0, {.obs = cfg});
+    std::vector<std::array<std::uint32_t, 3>> runs;
+    dev.parallel_runs({3, 12, "edges"}, 5, [&](const RunCtx& r) {
+      runs.push_back({r.block_idx(), r.first_thread(), r.count()});
+    });
+    return runs;
+  };
+  using Runs = std::vector<std::array<std::uint32_t, 3>>;
+  EXPECT_EQ(runs_of({}), (Runs{{0, 0, 5}, {0, 5, 5}, {0, 10, 2},
+                               {1, 0, 3}, {1, 3, 5}, {1, 8, 4},
+                               {2, 0, 1}, {2, 1, 5}, {2, 6, 5}, {2, 11, 1}}));
+  Runs threads;
+  for (std::uint32_t b = 0; b < 3; ++b) {
+    for (std::uint32_t t = 0; t < 12; ++t) threads.push_back({b, t, 1});
+  }
+  EXPECT_EQ(runs_of({.kernel_check = true}), threads);
+  // A permuted launch runs two replays and the canonical pass, every
+  // run one thread.
+  const Runs permuted = runs_of({.kernel_check = true, .permute = true});
+  ASSERT_EQ(permuted.size(), 3 * threads.size());
+  for (const auto& r : permuted) EXPECT_EQ(r[2], 1u);
+  EXPECT_TRUE(std::equal(threads.begin(), threads.end(),
+                         permuted.end() - static_cast<long>(threads.size())));
 }
 
 TEST(GpuSimLaunch, ThrowInAHelperWorkerReachesTheCaller) {

@@ -435,6 +435,22 @@ SimParams checker_sim_params() {
   return p;
 }
 
+/// Every device counter of a checked run equals the unchecked run's: a
+/// checked launch runs one thread per run, an unchecked one whole runs, and
+/// both must count the same threads, blocks, bytes and atomics.
+void expect_same_device_total(const gpusim::DeviceStats& a,
+                              const gpusim::DeviceStats& b) {
+  EXPECT_EQ(a.kernel_launches, b.kernel_launches);
+  EXPECT_EQ(a.blocks_executed, b.blocks_executed);
+  EXPECT_EQ(a.threads_executed, b.threads_executed);
+  EXPECT_EQ(a.global_read_bytes, b.global_read_bytes);
+  EXPECT_EQ(a.global_write_bytes, b.global_write_bytes);
+  EXPECT_EQ(a.atomic_ops, b.atomic_ops);
+  EXPECT_EQ(a.shared_bytes_allocated, b.shared_bytes_allocated);
+  EXPECT_EQ(a.h2d_bytes, b.h2d_bytes);
+  EXPECT_EQ(a.d2h_bytes, b.d2h_bytes);
+}
+
 TEST(KernelCheck, FullGpuSimCleanUnderCheckerAndUnperturbed) {
   const SimParams p = checker_sim_params();
   const Grid grid(p.dim_x, p.dim_y, p.dim_z);
@@ -451,6 +467,7 @@ TEST(KernelCheck, FullGpuSimCleanUnderCheckerAndUnperturbed) {
   EXPECT_EQ(r.check_violations, 0u);
   EXPECT_GT(r.check_accesses, 0u);
   EXPECT_EQ(r.digests, base.digests);  // observation does not perturb
+  expect_same_device_total(r.device_total, base.device_total);
   EXPECT_EQ(base.check_accesses, 0u);  // and off means off
 }
 
@@ -480,8 +497,42 @@ TEST(KernelCheck, SmokeScenarioBitIdenticalUnderPermutedSchedules) {
   const auto r = gpu::run_gpu_sim(p, foi, perm);
   EXPECT_EQ(r.check_violations, 0u);
   EXPECT_EQ(r.digests, base.digests);
-  EXPECT_EQ(r.device_total.kernel_launches,
-            base.device_total.kernel_launches);
+  expect_same_device_total(r.device_total, base.device_total);
+}
+
+TEST(KernelCheck, RaggedRanksAndTilesPermuteCleanAndCountAlike) {
+  // 37x29 over 3 ranks: ragged sub-domains whose edge tiles are part
+  // padding, so unchecked runs are cut at block ends, tile-row ends and
+  // the domain edge, while the permuted run executes one thread per run.
+  for (const std::int32_t side : {5, 8}) {
+    SCOPED_TRACE(testing::Message() << "tile_side=" << side);
+    SimParams p = checker_sim_params();
+    p.dim_x = 37;
+    p.dim_y = 29;
+    p.num_steps = 40;
+    p.tile_side = side;
+    const Grid grid(p.dim_x, p.dim_y, p.dim_z);
+    const auto foi = foi_uniform_random(grid, p.num_foi, p.seed);
+
+    gpu::GpuSimOptions plain;
+    plain.num_ranks = 3;
+    plain.record_digests = true;
+    plain.obs = obs::Config{};
+    const auto base = gpu::run_gpu_sim(p, foi, plain);
+
+    gpu::GpuSimOptions perm = plain;
+    perm.obs.kernel_check = true;
+    perm.obs.permute = true;
+    const auto r = gpu::run_gpu_sim(p, foi, perm);
+    EXPECT_EQ(r.check_violations, 0u);
+    EXPECT_EQ(r.digests, base.digests);
+    expect_same_device_total(r.device_total, base.device_total);
+    ASSERT_EQ(r.history.size(), base.history.size());
+    for (std::size_t i = 0; i < r.history.size(); ++i) {
+      EXPECT_EQ(r.history[i].flatten(), base.history[i].flatten())
+          << "step " << i;
+    }
+  }
 }
 
 TEST(KernelCheck, MultiBlockTreeReductionPermutesWithoutExemption) {

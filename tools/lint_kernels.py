@@ -7,11 +7,10 @@ shared memory.  A kernel body that reaches device data any other way —
 raw pointers, host staging copies, casts that launder a pointer past the
 type system — executes unchecked, and a race through that side channel is
 invisible to the dynamic analyzer.  This lint closes the loophole
-statically: every lambda passed to ``parallel_for`` / ``launch_blocks``
-(including the ``for_active_voxels``, ``for_active_rows`` and
-``for_ghost_slots`` wrappers) in
-``src/`` must touch device data only through the instrumented
-abstractions.
+statically: every lambda passed to ``parallel_runs`` / ``parallel_for`` /
+``launch_blocks`` (including the ``for_active_voxels``,
+``for_active_rows`` and ``for_ghost_slots`` wrappers) in ``src/`` must
+touch device data only through the instrumented abstractions.
 
 Rules (rule name -> what is banned inside a kernel lambda):
   raw-pointer      .raw( — bypasses the GlobalSpan access hooks
@@ -46,7 +45,7 @@ import sys
 # Call sites of the kernel-launch entry points.  The leading ``.``/``->``
 # (or the wrapper's name) keeps the *definitions* in device.hpp out.
 LAUNCH_RE = re.compile(
-    r"(?:(?:\.|->)\s*(?:parallel_for|launch_blocks)"
+    r"(?:(?:\.|->)\s*(?:parallel_for|parallel_runs|launch_blocks)"
     r"|\bfor_active_voxels|\bfor_active_rows|\bfor_ghost_slots)\s*\(")
 
 # A region is only a kernel if it actually contains a lambda; the
