@@ -79,7 +79,6 @@ void KernelChecker::end_launch() {
   exemptions_.clear();
   in_launch_ = false;
   if (violations_.size() == launch_first_violation_) return;
-  if (opts_.defer_report) return;
   std::ostringstream os;
   os << "KernelCheck: kernel discipline violation";
   for (std::size_t i = launch_first_violation_; i < violations_.size(); ++i) {

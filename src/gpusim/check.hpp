@@ -63,13 +63,11 @@
 // Enablement mirrors the PGAS checker: obs::Config::kernel_check / permute
 // in DeviceOptions (device.hpp), whose default is the environment's
 // SIMCOV_KERNEL_CHECK=1 (access checking) / SIMCOV_KERNEL_CHECK=permute
-// (access checking + permutation).  A raw Device throws simcov::Error at
-// the end of the offending launch; the SPMD GPU backend constructs its
-// devices with deferred reporting — a rank thread that threw mid-step
-// would desert the team barrier and hang its peers — and the SPMD driver
-// (spmd/run.hpp) throws one aggregated Error after all ranks joined.  When
-// disabled the hooks cost one null-pointer branch per access (gated ≤2% of
-// step time by bench/obs_overhead).
+// (access checking + permutation).  Every Device throws simcov::Error at
+// the end of the offending launch; on a GPU rank that throw aborts the
+// PGAS team and Runtime::run() reports it, naming the rank (pgas/runtime.hpp).
+// When disabled the hooks cost one null-pointer branch per access (gated
+// ≤2% of step time by bench/obs_overhead).
 //
 // The checker is deliberately unsynchronized: one Device (and therefore
 // one checker) belongs to one rank thread, and a device with a checker
@@ -88,7 +86,6 @@ namespace simcov::gpusim {
 struct KernelCheckOptions {
   bool check_access = false;      ///< shadow access-set race detection
   bool permute_schedules = false; ///< re-execute launches, diff bit-for-bit
-  bool defer_report = false;      ///< record; the owner throws after join
   bool enabled() const { return check_access || permute_schedules; }
 };
 
@@ -111,7 +108,6 @@ class KernelChecker {
 
   bool access_checking() const { return opts_.check_access; }
   bool permute_schedules() const { return opts_.permute_schedules; }
-  bool defer_report() const { return opts_.defer_report; }
 
   // ---- buffer registry (DeviceBuffer lifecycle) --------------------------
   void register_buffer(void* data, std::size_t bytes, std::size_t elem_size,
@@ -122,7 +118,7 @@ class KernelChecker {
   void begin_launch(const char* name, std::uint32_t grid_dim,
                     std::uint32_t block_dim);
   /// Ends the launch; throws simcov::Error naming every finding of this
-  /// launch unless defer_report.  Always clears per-launch exemptions.
+  /// launch.  Always clears per-launch exemptions.
   void end_launch();
   std::uint64_t launch_seq() const { return launch_seq_; }
 

@@ -125,10 +125,6 @@ struct LaunchConfig {
 /// to the parsed environment (obs/config.hpp).
 struct DeviceOptions {
   obs::Config obs = obs::Config::from_env();
-  /// Record findings instead of throwing at end of launch; the owner
-  /// (run_gpu_sim) reports after all rank threads joined.  A rank thread
-  /// throwing mid-step would desert the team barrier and hang its peers.
-  bool defer_check_report = false;
   /// Host threads that execute one launch's blocks (the calling thread
   /// plus workers - 1 pooled helpers).  run_gpu_sim gives each rank's
   /// device max(1, hardware threads / ranks); 1 runs every launch on the
@@ -149,8 +145,7 @@ class Device {
     if (lanes_.size() > 1) {
       pool_ = WorkerPool::lease(static_cast<unsigned>(lanes_.size() - 1));
     }
-    const KernelCheckOptions copts{opts.obs.kernel_check, opts.obs.permute,
-                                   opts.defer_check_report};
+    const KernelCheckOptions copts{opts.obs.kernel_check, opts.obs.permute};
     if (copts.enabled()) {
       checker_ = std::make_unique<KernelChecker>(copts);
     }

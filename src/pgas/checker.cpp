@@ -119,14 +119,13 @@ void DisciplineChecker::on_collective_enter(RankId rank, CollectiveOp op,
   m.seq.fetch_add(1, std::memory_order_relaxed);
 }
 
-bool DisciplineChecker::on_collective_verify(RankId rank) {
+void DisciplineChecker::on_collective_verify(RankId rank) {
   const CollectiveMeta& mine = collectives_[static_cast<std::size_t>(rank)];
   const std::uint64_t my_seq = mine.seq.load(std::memory_order_relaxed);
   const CollectiveOp my_op = mine.op.load(std::memory_order_relaxed);
   const std::uint64_t my_count = mine.count.load(std::memory_order_relaxed);
   const std::uint64_t my_epoch = mine.epoch.load(std::memory_order_relaxed);
 
-  bool all_matched = true;
   for (int r = 0; r < num_ranks_; ++r) {
     if (r == rank) continue;
     const CollectiveMeta& other = collectives_[static_cast<std::size_t>(r)];
@@ -138,7 +137,6 @@ bool DisciplineChecker::on_collective_verify(RankId rank) {
         o_epoch == my_epoch) {
       continue;
     }
-    all_matched = false;
 
     // Canonical message (lower rank first) so both observers deduplicate to
     // a single report.
@@ -161,8 +159,8 @@ bool DisciplineChecker::on_collective_verify(RankId rank) {
        << " — collectives must be entered by every rank with identical "
           "operation and shape";
     record_violation(os.str());
+    throw Error("collective-mismatch, reported above");
   }
-  return all_matched;
 }
 
 void DisciplineChecker::on_job_end(RankId rank, std::size_t queued_rpcs) {

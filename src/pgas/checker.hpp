@@ -27,11 +27,11 @@
 //   * collective-mismatch — ranks disagree on the collective sequence
 //                           number, operation, or element count.
 //
-// The checker never throws at the detection site: a rank that aborted
-// mid-superstep would leave its peers blocked on the team barrier and turn
-// a diagnosable bug into a hang.  Violations are recorded (deduplicated,
-// capped) and Runtime::run() throws one aggregated simcov::Error after all
-// rank threads have joined.
+// Violations are recorded (deduplicated, capped) and Runtime::run() throws
+// one aggregated simcov::Error after all rank threads have joined, ahead of
+// any rank's exception.  Only a collective mismatch also stops the rank at
+// the detection site, since combining mismatched slots would race with the
+// peers; its throw aborts the team like any rank failure (runtime.hpp).
 //
 // Every hook is internally synchronized and safe to call from violating
 // programs: epochs are atomics, per-target put logs are mutex-guarded, and
@@ -85,13 +85,11 @@ class DisciplineChecker {
   void on_collective_enter(RankId rank, CollectiveOp op, std::size_t count);
 
   /// Called after the collective's exchange barrier; verifies that every
-  /// rank entered the same collective with the same shape.  Returns false
-  /// (after recording the violation) when any peer disagrees — the caller
-  /// must then *skip* its combine: reading mismatched slots would throw
-  /// mid-superstep, desert the team barrier, and hang the remaining ranks,
-  /// turning a diagnosable bug into a deadlock.  The job completes with
-  /// garbage collective results and run() throws the aggregated report.
-  bool on_collective_verify(RankId rank);
+  /// rank entered the same collective with the same shape.  When any peer
+  /// disagrees it records the violation and throws, before the caller
+  /// reads the mismatched slots; the team aborts and run() reports the
+  /// recorded mismatch.
+  void on_collective_verify(RankId rank);
 
   /// Called by Runtime::run() after all rank threads joined.
   void on_job_end(RankId rank, std::size_t queued_rpcs);

@@ -19,13 +19,20 @@ namespace simcov::pgas {
 
 int Rank::world_size() const { return runtime_.num_ranks_; }
 
+void Runtime::team_wait() {
+  barrier_->arrive_and_wait();
+  // The wait orders this load after a failing peer's store: it raised the
+  // flag before its arrive_and_drop() completed the phase.
+  if (aborted_.load(std::memory_order_relaxed)) throw TeamAborted();
+}
+
 void Rank::barrier() {
   ++stats_.barriers;
   // Wait time is always measured (two clock reads against a syscall-class
   // wait): its per-rank spread is the load-imbalance signal the metrics
   // layer exports, and CommStats carries it whether or not obs is on.
   const obs::Nanos t0 = obs::now_ns();
-  runtime_.barrier_->arrive_and_wait();
+  runtime_.team_wait();
   const obs::Nanos t1 = obs::now_ns();
   stats_.barrier_wait_ns += static_cast<std::uint64_t>(t1 - t0);
   if (obs::tracer().enabled()) obs::tracer().record("barrier", id_, t0, t1);
@@ -88,18 +95,13 @@ std::vector<double> Rank::allreduce_sum(std::span<const double> values) {
   auto& mine = slots[static_cast<std::size_t>(id_)];
   mine.assign(values.begin(), values.end());
   barrier();
-  // On a checker-detected mismatch the combine is skipped: reading the
-  // mismatched slots would throw mid-superstep and strand the peers at the
-  // team barrier.  The job limps to completion and run() throws the report.
-  const bool combine = ck == nullptr || ck->on_collective_verify(id_);
+  if (ck) ck->on_collective_verify(id_);
   std::vector<double> out(values.size(), 0.0);
-  if (combine) {
-    for (int r = 0; r < world_size(); ++r) {
-      const auto& slot = slots[static_cast<std::size_t>(r)];
-      SIMCOV_REQUIRE(slot.size() == values.size(),
-                     "allreduce called with mismatched lengths across ranks");
-      for (std::size_t i = 0; i < out.size(); ++i) out[i] += slot[i];
-    }
+  for (int r = 0; r < world_size(); ++r) {
+    const auto& slot = slots[static_cast<std::size_t>(r)];
+    SIMCOV_REQUIRE(slot.size() == values.size(),
+                   "allreduce called with mismatched lengths across ranks");
+    for (std::size_t i = 0; i < out.size(); ++i) out[i] += slot[i];
   }
   barrier();  // all ranks done reading before slots are reused
   return out;
@@ -126,14 +128,12 @@ std::uint64_t Rank::allreduce_max(std::uint64_t value) {
   slots[static_cast<std::size_t>(id_)].assign(
       1, std::bit_cast<double>(value));
   barrier();
-  const bool combine = ck == nullptr || ck->on_collective_verify(id_);
+  if (ck) ck->on_collective_verify(id_);
   std::uint64_t out = 0;
-  if (combine) {
-    for (int r = 0; r < world_size(); ++r) {
-      const auto& slot = slots[static_cast<std::size_t>(r)];
-      SIMCOV_REQUIRE(slot.size() == 1, "allreduce_max shape mismatch");
-      out = std::max(out, std::bit_cast<std::uint64_t>(slot[0]));
-    }
+  for (int r = 0; r < world_size(); ++r) {
+    const auto& slot = slots[static_cast<std::size_t>(r)];
+    SIMCOV_REQUIRE(slot.size() == 1, "allreduce_max shape mismatch");
+    out = std::max(out, std::bit_cast<std::uint64_t>(slot[0]));
   }
   barrier();
   return out;
@@ -147,14 +147,12 @@ std::uint64_t Rank::allreduce_xor(std::uint64_t value) {
   auto& slots = runtime_.collective_slots_;
   slots[static_cast<std::size_t>(id_)].assign(1, std::bit_cast<double>(value));
   barrier();
-  const bool combine = ck == nullptr || ck->on_collective_verify(id_);
+  if (ck) ck->on_collective_verify(id_);
   std::uint64_t out = 0;
-  if (combine) {
-    for (int r = 0; r < world_size(); ++r) {
-      const auto& slot = slots[static_cast<std::size_t>(r)];
-      SIMCOV_REQUIRE(slot.size() == 1, "allreduce_xor shape mismatch");
-      out ^= std::bit_cast<std::uint64_t>(slot[0]);
-    }
+  for (int r = 0; r < world_size(); ++r) {
+    const auto& slot = slots[static_cast<std::size_t>(r)];
+    SIMCOV_REQUIRE(slot.size() == 1, "allreduce_xor shape mismatch");
+    out ^= std::bit_cast<std::uint64_t>(slot[0]);
   }
   barrier();
   return out;
@@ -167,11 +165,11 @@ void Rank::obs_allgather(std::span<const double> values,
                  "obs_allgather output size mismatch");
   auto& slots = runtime_.collective_slots_;
   slots[static_cast<std::size_t>(id_)].assign(values.begin(), values.end());
-  // Raw team barriers (not Rank::barrier): no CommStats counting, no trace
-  // span, no checker epoch — see the header contract.  The barriers still
+  // Raw team waits (not Rank::barrier): no CommStats counting, no trace
+  // span, no checker epoch — see the header contract.  The waits still
   // establish the happens-before the slot reuse needs, exactly as in the
-  // counted collectives.
-  runtime_.barrier_->arrive_and_wait();
+  // counted collectives, and still abort with the team.
+  runtime_.team_wait();
   for (int r = 0; r < world_size(); ++r) {
     const auto& slot = slots[static_cast<std::size_t>(r)];
     SIMCOV_REQUIRE(slot.size() == values.size(),
@@ -180,7 +178,7 @@ void Rank::obs_allgather(std::span<const double> values,
               all.begin() + static_cast<std::ptrdiff_t>(
                                 values.size() * static_cast<std::size_t>(r)));
   }
-  runtime_.barrier_->arrive_and_wait();
+  runtime_.team_wait();
 }
 
 void Rank::broadcast(RankId root, std::span<std::byte> data) {
@@ -194,10 +192,8 @@ void Rank::broadcast(RankId root, std::span<std::byte> data) {
   auto& buf = runtime_.bcast_buf_;
   if (id_ == root) buf.assign(data.begin(), data.end());
   barrier();
-  // Shape mismatch under the checker: skip the copy (same limp-to-report
-  // policy as the reductions — see allreduce_sum).
-  const bool combine = ck == nullptr || ck->on_collective_verify(id_);
-  if (combine && id_ != root && !data.empty()) {
+  if (ck) ck->on_collective_verify(id_);
+  if (id_ != root && !data.empty()) {
     SIMCOV_REQUIRE(buf.size() == data.size(),
                    "broadcast called with mismatched sizes across ranks");
     std::memcpy(data.data(), buf.data(), data.size());
@@ -313,7 +309,6 @@ Runtime::Runtime(int num_ranks, const RuntimeOptions& options)
     : num_ranks_(num_ranks), check_enabled_(options.obs.pgas_check) {
   SIMCOV_REQUIRE(num_ranks >= 1, "runtime needs at least one rank");
   SIMCOV_REQUIRE(num_ranks <= 4096, "unreasonable rank count");
-  barrier_ = std::make_unique<std::barrier<>>(num_ranks);
   collective_slots_.resize(static_cast<std::size_t>(num_ranks));
   last_stats_.resize(static_cast<std::size_t>(num_ranks));
 }
@@ -321,30 +316,41 @@ Runtime::Runtime(int num_ranks, const RuntimeOptions& options)
 Runtime::~Runtime() = default;
 
 void Runtime::run(const std::function<void(Rank&)>& fn) {
-  // Fresh Rank objects per job: clean RPC queues, channels and counters.
-  // The checker is recreated too, so epochs and put logs start at zero.
+  // Fresh per job: Rank objects (clean RPC queues, channels and counters),
+  // the checker (epochs and put logs start at zero), the team barrier and
+  // its abort flag.
   ranks_.clear();
   checker_.reset();
   if (check_enabled_) checker_ = std::make_unique<DisciplineChecker>(num_ranks_);
+  barrier_ = std::make_unique<std::barrier<>>(num_ranks_);
+  aborted_.store(false, std::memory_order_relaxed);
   for (int r = 0; r < num_ranks_; ++r) {
     // make_unique cannot reach the private constructor; ownership is taken
     // by the unique_ptr in the same expression.
     ranks_.emplace_back(std::unique_ptr<Rank>(new Rank(*this, r)));
   }
-  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(num_ranks_));
+  // The job's root cause: the first rank to fail, and what it threw.
+  std::atomic<RankId> root{-1};
+  std::string root_what;
+  const auto abort_team = [&](RankId r, const char* what) {
+    RankId none = -1;
+    if (root.compare_exchange_strong(none, r)) root_what = what;
+    // Raised before the drop, so every peer the drop releases sees it.
+    aborted_.store(true, std::memory_order_relaxed);
+    barrier_->arrive_and_drop();
+  };
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(num_ranks_));
   for (int r = 0; r < num_ranks_; ++r) {
-    threads.emplace_back([this, r, &fn, &errors] {
+    threads.emplace_back([this, r, &fn, &abort_team] {
       try {
         fn(*ranks_[static_cast<std::size_t>(r)]);
+      } catch (const TeamAborted&) {
+        barrier_->arrive_and_drop();  // releases the ranks still waiting
+      } catch (const std::exception& e) {
+        abort_team(r, e.what());
       } catch (...) {
-        errors[static_cast<std::size_t>(r)] = std::current_exception();
-        // A rank that dies stops participating in barriers; drop the team
-        // barrier for the remaining ranks by arriving on its behalf would
-        // hide bugs, so instead we simply record and let join() proceed —
-        // SPMD code in this repo throws only before entering the
-        // bulk-synchronous phase (config validation), which tests rely on.
+        abort_team(r, "a non-std exception");
       }
     });
   }
@@ -376,8 +382,11 @@ void Runtime::run(const std::function<void(Rank&)>& fn) {
       }
     }
   }
+  const RankId failed = root.load(std::memory_order_relaxed);
   if (checker_) {
-    for (int r = 0; r < num_ranks_; ++r) {
+    // An aborted job stops mid-superstep with RPCs still queued by
+    // construction; the undrained-rpcs rule judges finished jobs only.
+    for (int r = 0; failed < 0 && r < num_ranks_; ++r) {
       Rank& rank = *ranks_[static_cast<std::size_t>(r)];
       std::lock_guard<std::mutex> lock(rank.rpc_mutex_);
       checker_->on_job_end(r, rank.rpc_queue_.size());
@@ -386,22 +395,15 @@ void Runtime::run(const std::function<void(Rank&)>& fn) {
       // The discipline report is the diagnosis; a rank exception (if any)
       // is usually a downstream symptom, so it is appended, not preferred.
       std::string what = checker_->report();
-      for (const auto& e : errors) {
-        if (!e) continue;
-        try {
-          std::rethrow_exception(e);
-        } catch (const std::exception& ex) {
-          what += "\n  (a rank also threw: " + std::string(ex.what()) + ")";
-        } catch (...) {
-          what += "\n  (a rank also threw a non-std exception)";
-        }
-        break;
+      if (failed >= 0) {
+        what += "\n  (rank " + std::to_string(failed) + " also threw: " +
+                root_what + ")";
       }
       throw Error(what);
     }
   }
-  for (auto& e : errors) {
-    if (e) std::rethrow_exception(e);
+  if (failed >= 0) {
+    throw Error("rank " + std::to_string(failed) + ": " + root_what);
   }
 }
 

@@ -28,7 +28,12 @@
 // queues, mismatched collectives — is recorded and reported as one
 // aggregated simcov::Error when run() returns.  See pgas/checker.hpp.  When
 // checking is off, each primitive pays a single null-pointer branch.
+//
+// Failure policy (as a failed UPC++ process takes its job down): a rank
+// that throws aborts its team.  Every team wait then throws TeamAborted on
+// the peers, and run() throws the first failure, naming its rank.
 
+#include <atomic>
 #include <barrier>
 #include <cstddef>
 #include <cstdint>
@@ -43,6 +48,7 @@
 #include "obs/config.hpp"
 #include "obs/memscope.hpp"
 #include "pgas/comm_stats.hpp"
+#include "util/error.hpp"
 
 namespace simcov::pgas {
 
@@ -50,6 +56,12 @@ using RankId = int;
 
 class DisciplineChecker;
 class Runtime;
+
+/// Thrown by the team waits of a job a failed peer aborted; run() reports
+/// the peer's exception, the root cause, never this.
+struct TeamAborted : Error {
+  TeamAborted() : Error("team aborted by a failed peer rank") {}
+};
 
 /// Construction-time knobs for Runtime.  `obs.pgas_check` enables the
 /// discipline checker (pgas/checker.hpp) for every job this runtime
@@ -68,7 +80,8 @@ class Rank {
   RankId id() const { return id_; }
   int world_size() const;
 
-  /// Blocks until every rank reaches the barrier.
+  /// Blocks until every rank reaches the barrier; throws TeamAborted if a
+  /// peer failed.
   void barrier();
 
   /// Enqueues `fn` to execute on rank `target` during its next progress().
@@ -195,9 +208,10 @@ class Runtime {
   /// (RuntimeOptions::obs.pgas_check).
   bool checking_enabled() const { return check_enabled_; }
 
-  /// Executes `fn(rank)` on every rank in its own thread and joins.  If any
-  /// rank throws, the first exception (by rank id) is rethrown here after
-  /// all threads have been joined.
+  /// Executes `fn(rank)` on every rank in its own thread and joins.  The
+  /// first rank to throw aborts the team (see the file comment); after the
+  /// join run() throws the discipline checker's report if it has one,
+  /// otherwise that first failure as a simcov::Error naming its rank.
   void run(const std::function<void(Rank&)>& fn);
 
   /// Sum of all ranks' counters from the most recent run().
@@ -208,9 +222,15 @@ class Runtime {
  private:
   friend class Rank;
 
+  /// The one team wait: arrive, wait, and throw if the team was aborted.
+  void team_wait();
+
   int num_ranks_;
   bool check_enabled_ = false;
+  // Both reset per job: a failed rank's arrive_and_drop() lowers the
+  // barrier's count for good, and it raises the flag before dropping.
   std::unique_ptr<std::barrier<>> barrier_;
+  std::atomic<bool> aborted_{false};
 
   // Collective scratch: one slot per rank.  Writes (each rank to its own
   // slot) and cross-rank reads are separated by the collective's barriers,

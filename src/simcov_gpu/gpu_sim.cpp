@@ -94,11 +94,9 @@ class GpuRank {
         rng_(params.seed), variant_(options.variant),
         lay_(sub_.extent.x, sub_.extent.y, params.tile_side),
         tiles_(lay_, options.variant.memory_tiling),
-        // Deferred reporting: a rank thread that threw mid-step would
-        // desert the team barrier and hang its peers, so findings go into
-        // the rank's report and the SPMD driver throws after the join.
+        // A KernelCheck finding throws at the end of its launch, which
+        // aborts the PGAS team; Runtime::run() reports it, naming the rank.
         dev_(rank.id(), gpusim::DeviceOptions{.obs = options.obs,
-                                              .defer_check_report = true,
                                               .workers = options.workers}),
         ledger_(ledger),
         // Device allocations: full padded layout per field.
@@ -237,7 +235,6 @@ class GpuRank {
     if (const gpusim::KernelChecker* chk = dev_.checker()) {
       rep.check_accesses = chk->accesses_checked();
       rep.check_violations = chk->violation_count();
-      rep.error = chk->report();
     }
     rep.kernel_profile = kprof_;
     if (const obs::KernelProf* p = dev_.profiler()) {

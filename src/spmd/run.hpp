@@ -17,9 +17,9 @@
 // (a broadcast digest), initializes, runs the timed step loop (optionally
 // recording the full-state digest after each step), and harvests one
 // RankReport.  Rank 0 folds the cost logs while every ledger is still
-// alive; after the join the reports merge into one RunResult and any
-// deferred rank error (a KernelCheck report) is thrown as one aggregated
-// simcov::Error.
+// alive; after the join the reports merge into one RunResult.  A rank that
+// throws (a KernelCheck finding, say) aborts the team: pgas::Runtime::run()
+// throws its error, naming the rank, and run_spmd returns nothing.
 //
 // A backend supplies its rank simulation through `make_rank(rank, dec,
 // ledger)`, which returns it by value (guaranteed elision: the type need
@@ -91,8 +91,6 @@ struct RankReport {
   /// The memory model's prediction for this rank's sub-domain, by category
   /// (empty when memory accounting is off).
   std::map<std::string, double> mem_modeled_by_category;
-  /// Deferred failure to throw once every rank has joined; empty = clean.
-  std::string error;
 };
 
 /// The result of one parallel run, on either backend.
@@ -236,16 +234,7 @@ RunResult run_spmd(const SimParams& params, const RunOptions& options,
     rank.barrier();  // keep all ledgers alive until the fold completes
   });
 
-  std::string errors;
-  for (std::size_t r = 0; r < n; ++r) {
-    result.merge(reports[r]);
-    if (!reports[r].error.empty()) {
-      errors += "\nrank " + std::to_string(r) + ": " + reports[r].error;
-    }
-  }
-  // Deferred reporting: all ranks have joined, so one aggregated Error is
-  // safe to throw.
-  if (!errors.empty()) throw Error("SPMD run failed" + errors);
+  for (const RankReport& rep : reports) result.merge(rep);
   result.step_tail_s =
       static_cast<double>(*std::min_element(tails.begin(), tails.end())) / 1e9;
   for (int r = 0; r < options.num_ranks; ++r) {

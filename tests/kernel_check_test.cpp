@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <string>
@@ -22,8 +23,10 @@
 #include "core/foi.hpp"
 #include "core/grid.hpp"
 #include "core/params.hpp"
+#include "fail_fast.hpp"
 #include "gpusim/gpusim.hpp"
 #include "obs/config.hpp"
+#include "pgas/runtime.hpp"
 #include "simcov_gpu/gpu_sim.hpp"
 #include "util/error.hpp"
 
@@ -563,6 +566,43 @@ TEST(KernelCheck, MultiBlockTreeReductionPermutesWithoutExemption) {
   for (std::size_t i = 0; i < r.history.size(); ++i) {
     EXPECT_EQ(r.history[i].flatten(), base.history[i].flatten())
         << "step " << i;
+  }
+}
+
+// ---- a finding on one rank of a team ---------------------------------------
+
+TEST(KernelCheckFailFast, RacyLaunchOnOneRankAbortsTheTeam) {
+  // Three ranks each own a checked Device and barrier after every launch;
+  // rank 2's launch number `racy` has every thread write element 0.  The
+  // finding throws at the end of that launch and aborts the team: run()
+  // reports it for rank 2 and no peer gets past the next barrier.
+  constexpr int kRanks = 3;
+  constexpr int kLaunches = 4;
+  for (const bool pgas_check : {false, true}) {
+    for (int racy = 0; racy < kLaunches; ++racy) {
+      SCOPED_TRACE("pgas checker " + std::to_string(pgas_check) +
+                   ", racy launch " + std::to_string(racy));
+      pgas::Runtime rt(kRanks, {.obs = {.pgas_check = pgas_check}});
+      std::atomic<int> finished{0};
+      const std::string what = fail_fast::error_of([&] {
+        rt.run([&](pgas::Rank& rank) {
+          Device dev(rank.id(), access_checked());
+          DeviceBuffer<int> buf(dev, 8, 0, "team_target");
+          for (int k = 0; k < kLaunches; ++k) {
+            const bool race = rank.id() == 2 && k == racy;
+            dev.parallel_for({1, 8, "k_team_step"}, [&](auto& t) {
+              const std::size_t i = race ? 0 : t.thread_idx();
+              t.global(buf).write(i, k);
+            });
+            rank.barrier();
+          }
+          finished.fetch_add(1);
+        });
+      });
+      fail_fast::expect_root_cause(what, 2, kRanks, "write-write race");
+      EXPECT_NE(what.find("k_team_step"), std::string::npos) << what;
+      EXPECT_EQ(finished.load(), 0);
+    }
   }
 }
 

@@ -20,6 +20,7 @@
 #include "core/foi.hpp"
 #include "core/grid.hpp"
 #include "core/reference_sim.hpp"
+#include "fail_fast.hpp"
 #include "pgas/runtime.hpp"
 #include "simcov_cpu/cpu_sim.hpp"
 #include "simcov_gpu/gpu_sim.hpp"
@@ -265,6 +266,55 @@ TEST(PgasChecker, MatchedCollectivesAreClean) {
     (void)r.allreduce_sum(std::span<const double>(v.data(), v.size()));
     (void)r.allreduce_xor(1ULL << r.id());
   }));
+}
+
+// ---------------------------------------------------------------------------
+// Failures under the checker: a recorded violation stays the diagnosis, and
+// an aborted job is judged only on what it did before the abort.
+// ---------------------------------------------------------------------------
+
+TEST(PgasCheckerFailFast, ViolationIsReportedBeforeALaterRankFailure) {
+  const std::string what = checked_run_error(3, [](Rank& r) {
+    conflicting_puts_program()(r);
+    if (r.id() == 1) throw Error("injected failure");
+    r.barrier();
+  });
+  EXPECT_NE(what.find("conflicting-puts"), std::string::npos) << what;
+  EXPECT_NE(what.find("(rank 1 also threw: injected failure)"),
+            std::string::npos)
+      << what;
+}
+
+TEST(PgasCheckerFailFast, AbortedJobIsNotChargedItsUndrainedRpcs) {
+  // Rank 2 fails with RPCs queued for it: the job never reached its
+  // quiescence, so the failure is the root cause, not undrained-rpcs.
+  const std::string what = checked_run_error(3, [](Rank& r) {
+    if (r.id() == 2) throw Error("injected failure");
+    r.rpc(2, [] {});
+    r.rpc_quiescence();
+  });
+  fail_fast::expect_root_cause(what, 2, 3, "injected failure");
+}
+
+TEST(PgasCheckerFailFast, CollectiveMismatchAbortsTeamsOfEverySize) {
+  for (int ranks = 2; ranks <= 5; ++ranks) {
+    for (int odd = 0; odd < ranks; ++odd) {
+      SCOPED_TRACE(std::to_string(ranks) + " ranks, rank " +
+                   std::to_string(odd) + " calls allreduce_max");
+      const std::string what = checked_run_error(ranks, [odd](Rank& r) {
+        for (int s = 0; s < 3; ++s) {
+          r.barrier();
+          if (s == 1 && r.id() == odd) {
+            (void)r.allreduce_max(1);
+          } else {
+            (void)r.allreduce_sum(1.0);
+          }
+        }
+      });
+      EXPECT_NE(what.find("collective-mismatch"), std::string::npos) << what;
+      EXPECT_NE(what.find("allreduce_max"), std::string::npos) << what;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

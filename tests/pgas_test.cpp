@@ -1,5 +1,6 @@
 // PGAS runtime: barriers, RPC delivery and quiescence, collectives,
-// one-sided channels, counters, and misuse rejection.
+// one-sided channels, counters, misuse rejection, and the failure policy
+// (a rank that throws aborts its team).
 
 #include <gtest/gtest.h>
 
@@ -8,8 +9,10 @@
 #include <cstring>
 #include <limits>
 #include <numeric>
+#include <string>
 #include <vector>
 
+#include "fail_fast.hpp"
 #include "pgas/runtime.hpp"
 #include "util/error.hpp"
 
@@ -395,6 +398,116 @@ TEST(Pgas, RankExceptionPropagates) {
 TEST(Pgas, InvalidRankCountRejected) {
   EXPECT_THROW(Runtime(0), Error);
   EXPECT_THROW(Runtime(-3), Error);
+}
+
+// ---- fail fast: a rank that throws aborts its team --------------------------
+
+/// Where the injected failure strikes its rank: before a plain barrier,
+/// inside a collective (an allreduce argument the collective rejects), or
+/// inside an RPC that runs during rpc_quiescence().
+enum class FailSite { kBarrier, kCollective, kRpc };
+
+constexpr int kSupersteps = 4;
+
+/// kSupersteps supersteps of barrier, collective, RPC and broadcast
+/// traffic; rank `fail_rank` fails at `site` in superstep `fail_step`.
+void failing_program(Rank& r, FailSite site, int fail_rank, int fail_step) {
+  const auto world = static_cast<std::uint64_t>(r.world_size());
+  for (int s = 0; s < kSupersteps; ++s) {
+    const bool here = r.id() == fail_rank && s == fail_step;
+    if (here && site == FailSite::kBarrier) throw Error("injected failure");
+    r.barrier();
+    // allreduce_sum(u64) rejects values of 2^53 and above.
+    const std::uint64_t v =
+        here && site == FailSite::kCollective ? 1ULL << 53 : 1;
+    EXPECT_EQ(r.allreduce_sum(v), world);
+    // The RPC runs on its target, which fails while its peers wait in the
+    // quiescence's second barrier.
+    const int target = (r.id() + 1) % r.world_size();
+    const bool poison =
+        site == FailSite::kRpc && target == fail_rank && s == fail_step;
+    r.rpc(target, [poison] {
+      if (poison) throw Error("injected failure");
+    });
+    r.rpc_quiescence();
+    EXPECT_EQ(r.broadcast_value(0, s), s);
+  }
+}
+
+/// Every (team size 1-5, failing rank, superstep, checker on/off) case of
+/// `site` ends with the failing rank's `cause`.
+void expect_every_failure_aborts(FailSite site, const std::string& cause) {
+  for (const bool checked : {false, true}) {
+    for (int ranks = 1; ranks <= 5; ++ranks) {
+      for (int fail_rank = 0; fail_rank < ranks; ++fail_rank) {
+        for (int step = 0; step < kSupersteps; ++step) {
+          SCOPED_TRACE("checker " + std::to_string(checked) + ", " +
+                       std::to_string(ranks) + " ranks, rank " +
+                       std::to_string(fail_rank) + " fails in superstep " +
+                       std::to_string(step));
+          Runtime rt(ranks, {.obs = {.pgas_check = checked}});
+          const std::string what = fail_fast::error_of([&] {
+            rt.run([&](Rank& r) {
+              failing_program(r, site, fail_rank, step);
+            });
+          });
+          fail_fast::expect_root_cause(what, fail_rank, ranks, cause);
+        }
+      }
+    }
+  }
+}
+
+TEST(PgasFailFast, ThrowBeforeABarrierAbortsTheTeam) {
+  expect_every_failure_aborts(FailSite::kBarrier, "injected failure");
+}
+
+TEST(PgasFailFast, ThrowInsideACollectiveAbortsTheTeam) {
+  expect_every_failure_aborts(FailSite::kCollective,
+                              "allreduce_sum(u64) value too large");
+}
+
+TEST(PgasFailFast, ThrowInsideAnRpcAbortsTheTeam) {
+  expect_every_failure_aborts(FailSite::kRpc, "injected failure");
+}
+
+TEST(PgasFailFast, ThrowWhilePeersWaitInObsAllgatherAbortsTheTeam) {
+  Runtime rt(4);
+  const std::string what = fail_fast::error_of([&] {
+    rt.run([](Rank& r) {
+      if (r.id() == 3) throw Error("injected failure");
+      const double mine = r.id();
+      std::vector<double> all(4);
+      r.obs_allgather({&mine, 1}, all);
+    });
+  });
+  fail_fast::expect_root_cause(what, 3, 4, "injected failure");
+}
+
+TEST(PgasFailFast, RuntimeRunsACleanJobAfterAnAbortedOne) {
+  // Every rank of the aborted job drops out of its barrier, so the next job
+  // needs a fresh barrier and a cleared abort flag.
+  Runtime rt(4);
+  const std::string what = fail_fast::error_of([&] {
+    rt.run([](Rank& r) {
+      r.barrier();
+      if (r.id() == 2) throw Error("injected failure");
+      (void)r.allreduce_sum(1.0);
+    });
+  });
+  fail_fast::expect_root_cause(what, 2, 4, "injected failure");
+
+  rt.run([](Rank& r) {
+    r.barrier();
+    EXPECT_EQ(r.allreduce_sum(static_cast<double>(r.id())), 6.0);
+    EXPECT_EQ(r.allreduce_max(10 * static_cast<std::uint64_t>(r.id())), 30u);
+    r.barrier();
+  });
+  for (int r = 0; r < 4; ++r) {
+    // Two plain barriers plus two per collective.
+    EXPECT_EQ(rt.rank_stats(r).barriers, 6u);
+    EXPECT_EQ(rt.rank_stats(r).reductions, 2u);
+  }
 }
 
 }  // namespace

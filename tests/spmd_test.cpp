@@ -3,7 +3,8 @@
 // no backend: the toy charges fixed work samples to fixed phases, so every
 // number the driver reports can be derived by hand.
 // The halo-exchange module (src/spmd/halo.hpp) is tested the same way, with
-// tagged strips in place of simulation state.
+// tagged strips in place of simulation state.  The *FailFast tests throw on
+// one rank mid-run: the job must end with that rank's error, not hang.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "fail_fast.hpp"
 #include "spmd/halo.hpp"
 #include "spmd/run.hpp"
 
@@ -38,16 +40,22 @@ perfmodel::WorkSample reduce_sample(int r) {
 }
 
 /// The four-method rank simulation contract, with no simulation behind it.
+/// Rank `failing_rank` throws "toy failure" from step() at `fail_step`.
 class ToyRank {
  public:
-  ToyRank(pgas::Rank& rank, spmd::StepLedger& ledger, int failing_rank)
-      : rank_(rank), ledger_(ledger), failing_rank_(failing_rank) {}
+  ToyRank(pgas::Rank& rank, spmd::StepLedger& ledger, int failing_rank,
+          long long fail_step)
+      : rank_(rank), ledger_(ledger), failing_rank_(failing_rank),
+        fail_step_(static_cast<std::uint64_t>(fail_step)) {}
   ToyRank(const ToyRank&) = delete;
   ToyRank& operator=(const ToyRank&) = delete;
 
   void initialize() {}
 
   StepStats step() {
+    if (rank_.id() == failing_rank_ && step_ == fail_step_) {
+      throw Error("toy failure");
+    }
     ledger_.phase_end(perfmodel::Phase::kTCells, tcells_sample(rank_.id()));
     ledger_.phase_end(perfmodel::Phase::kReduceStats,
                       reduce_sample(rank_.id()));
@@ -62,16 +70,13 @@ class ToyRank {
     return static_cast<std::uint64_t>(rank_.id() + 1) << 8 | step_;
   }
 
-  spmd::RankReport report() {
-    spmd::RankReport rep;
-    if (rank_.id() == failing_rank_) rep.error = "toy failure";
-    return rep;
-  }
+  spmd::RankReport report() { return {}; }
 
  private:
   pgas::Rank& rank_;
   spmd::StepLedger& ledger_;
   int failing_rank_;
+  std::uint64_t fail_step_;
   std::uint64_t step_ = 0;
 };
 
@@ -84,19 +89,21 @@ SimParams toy_params() {
   return p;
 }
 
-spmd::RunOptions toy_options(bool critpath) {
+spmd::RunOptions toy_options(bool critpath, int ranks = kRanks) {
   spmd::RunOptions opt;
-  opt.num_ranks = kRanks;
+  opt.num_ranks = ranks;
   opt.obs = obs::Config{};
   opt.obs.critpath = critpath;
   return opt;
 }
 
-spmd::RunResult run_toy(const spmd::RunOptions& opt, int failing_rank = -1) {
+spmd::RunResult run_toy(const spmd::RunOptions& opt, int failing_rank = -1,
+                        long long fail_step = 0) {
   return spmd::run_spmd(toy_params(), opt, perfmodel::Backend::kCpu,
                         [&](pgas::Rank& rank, const Decomposition&,
                             spmd::StepLedger& ledger) {
-                          return ToyRank(rank, ledger, failing_rank);
+                          return ToyRank(rank, ledger, failing_rank,
+                                         fail_step);
                         });
 }
 
@@ -169,14 +176,39 @@ TEST(SpmdDriver, CritPathAnalyzesEveryStepWhenOnAndNoneWhenOff) {
 }
 
 TEST(SpmdDriver, RankErrorComesBackAsOneErrorNamingTheRank) {
-  try {
-    run_toy(toy_options(false), /*failing_rank=*/1);
-    FAIL() << "expected the deferred rank error to be thrown";
-  } catch (const Error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("rank 1: toy failure"), std::string::npos) << what;
-    EXPECT_EQ(what.find("rank 0:"), std::string::npos) << what;
-    EXPECT_EQ(what.find("rank 2:"), std::string::npos) << what;
+  const std::string what = fail_fast::error_of(
+      [] { run_toy(toy_options(false), /*failing_rank=*/1, /*fail_step=*/2); });
+  EXPECT_NE(what.find("rank 1: toy failure"), std::string::npos) << what;
+  EXPECT_EQ(what.find("rank 0:"), std::string::npos) << what;
+  EXPECT_EQ(what.find("rank 2:"), std::string::npos) << what;
+  EXPECT_EQ(what.find(pgas::TeamAborted().what()), std::string::npos) << what;
+}
+
+TEST(SpmdFailFast, StepThrowOnAnyRankAtAnyStepAbortsTheRun) {
+  // Critpath on adds obs_allgather's raw waits to every step; digests add
+  // an allreduce_xor; the PGAS checker must not turn the abort into a
+  // report of its own.
+  for (const bool critpath : {false, true}) {
+    for (const bool pgas_check : {false, true}) {
+      for (int ranks = 1; ranks <= 5; ++ranks) {
+        for (int fail_rank = 0; fail_rank < ranks; ++fail_rank) {
+          for (long long step = 0; step < kSteps; ++step) {
+            SCOPED_TRACE("critpath " + std::to_string(critpath) +
+                         ", checker " + std::to_string(pgas_check) + ", " +
+                         std::to_string(ranks) + " ranks, rank " +
+                         std::to_string(fail_rank) + " fails at step " +
+                         std::to_string(step));
+            spmd::RunOptions opt = toy_options(critpath, ranks);
+            opt.obs.pgas_check = pgas_check;
+            opt.record_digests = true;
+            const std::string what = fail_fast::error_of(
+                [&] { run_toy(opt, fail_rank, step); });
+            fail_fast::expect_root_cause(what, fail_rank, ranks,
+                                         "toy failure");
+          }
+        }
+      }
+    }
   }
 }
 
@@ -321,6 +353,47 @@ TEST(SpmdHalo, RaggedThreeRankGhostsMirrorNeighbourBoundaries) {
 TEST(SpmdHalo, TwoPlaneStripsAreZMajor) {
   const Grid g(9, 7, 2);
   expect_halo_contract(Decomposition(g, 2, 2));
+}
+
+TEST(SpmdFailFast, PackThrowInAHaloExchangeAbortsTheTeam) {
+  // Every rank of a 2-5 rank block decomposition has a live face, so its
+  // pack callback runs (a single rank has none).
+  const Grid g(13, 11, 1);
+  constexpr std::array<std::size_t, 1> kWidths = {sizeof(std::uint32_t)};
+  constexpr int kExchanges = 3;
+  for (const bool checked : {false, true}) {
+    for (int ranks = 2; ranks <= 5; ++ranks) {
+      const Decomposition dec(g, ranks, Decomposition::Kind::kBlock2D);
+      for (int fail_rank = 0; fail_rank < ranks; ++fail_rank) {
+        for (int fail_at = 0; fail_at < kExchanges; ++fail_at) {
+          SCOPED_TRACE("checker " + std::to_string(checked) + ", " +
+                       std::to_string(ranks) + " ranks, rank " +
+                       std::to_string(fail_rank) + " fails in exchange " +
+                       std::to_string(fail_at));
+          pgas::Runtime rt(ranks, {.obs = {.pgas_check = checked}});
+          const std::string what = fail_fast::error_of([&] {
+            rt.run([&](pgas::Rank& rank) {
+              spmd::Halo halo(rank, dec.sub(rank.id()), kWidths);
+              rank.barrier();  // every rank's channels exist before a put
+              for (int x = 0; x < kExchanges; ++x) {
+                halo.exchange(
+                    0, sizeof(std::uint32_t),
+                    [&](int, std::span<std::byte> out) {
+                      if (rank.id() == fail_rank && x == fail_at) {
+                        throw Error("pack failure");
+                      }
+                      std::fill(out.begin(), out.end(), std::byte{0});
+                    },
+                    [](int, std::span<const std::byte>) {});
+              }
+            });
+          });
+          fail_fast::expect_root_cause(what, fail_rank, ranks,
+                                       "pack failure");
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
