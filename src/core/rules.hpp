@@ -94,6 +94,13 @@ inline Intent tcell_intent(const CounterRng& rng, std::uint64_t step,
 // Epithelial state machine
 // ---------------------------------------------------------------------------
 
+/// A state that advances on its own timer: a voxel in one is active even
+/// with no virus, chemokine or T cell.
+constexpr bool transient_epi(EpiState s) {
+  return s == EpiState::kIncubating || s == EpiState::kExpressing ||
+         s == EpiState::kApoptotic;
+}
+
 struct EpiUpdate {
   EpiState state;
   std::uint32_t timer;

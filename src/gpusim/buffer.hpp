@@ -138,18 +138,6 @@ class DeviceBuffer {
     device_->stats_.global_write_bytes += storage_.size() * sizeof(T);
   }
 
-  /// Declares that the *next* kernel launch may legitimately produce
-  /// different bits in this buffer under permuted thread schedules (e.g.
-  /// an intentionally order-tolerant floating-point atomic reduction).
-  /// KernelCheck counts the tolerated difference instead of raising a
-  /// schedule-dependent-result violation.  No-op when checking is off.
-  void tolerate_schedule_variance(const char* rationale) {
-    SIMCOV_REQUIRE(device_ != nullptr, "buffer moved-from");
-    if (KernelChecker* chk = device_->checker()) {
-      chk->tolerate_schedule_variance(storage_.data(), rationale);
-    }
-  }
-
  private:
   friend class Device;
 

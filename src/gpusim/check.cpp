@@ -76,7 +76,6 @@ void KernelChecker::begin_launch(const char* name, std::uint32_t grid_dim,
 }
 
 void KernelChecker::end_launch() {
-  exemptions_.clear();
   in_launch_ = false;
   if (violations_.size() == launch_first_violation_) return;
   std::ostringstream os;
@@ -151,31 +150,12 @@ void KernelChecker::diff_against_canonical(const Snapshot& canonical,
     std::size_t elem_size = it != registry_.end() ? it->second.elem_size : 1;
     std::size_t byte = 0;
     while (byte < want.size() && want[byte] == got[byte]) ++byte;
-    bool tolerated = false;
-    const char* rationale = nullptr;
-    for (const auto& ex : exemptions_) {
-      if (ex.data == ptr) {
-        tolerated = true;
-        rationale = ex.rationale;
-        break;
-      }
-    }
-    if (tolerated) {
-      ++tolerated_diffs_;
-      (void)rationale;
-      continue;
-    }
     std::ostringstream os;
     os << buffer_label(ptr, /*shared=*/false) << " element "
        << byte / (elem_size == 0 ? 1 : elem_size) << " differs under the "
        << schedule_label << " schedule";
     record_violation("schedule-dependent result", os.str());
   }
-}
-
-void KernelChecker::tolerate_schedule_variance(const void* data,
-                                               const char* rationale) {
-  exemptions_.push_back(Exemption{data, rationale});
 }
 
 bool KernelChecker::ordered(const Who& a, const Who& b) {

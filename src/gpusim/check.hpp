@@ -37,19 +37,19 @@
 //
 //   * schedule permutation — each launch is executed three times: under
 //     a reversed schedule, under a seeded-shuffled schedule, and finally
-//     under the canonical schedule; device buffers and counters are
-//     snapshotted/restored between runs so the canonical execution is
-//     the one that survives (results and DeviceStats are bit-identical
-//     whether or not permutation is on).  Any buffer whose final bytes
-//     differ between schedules is schedule-dependent — this is what
-//     catches order-dependent floating-point atomic_add reductions,
-//     which the access checker rightly accepts (atomics don't race) but
-//     which are not deterministic.  (The device applies FP atomics in
-//     block order, kernel.hpp, so only the order of threads *within* a
-//     block can still change their bits.)  A reduction that is intentionally
-//     order-tolerant can be annotated per launch with
-//     DeviceBuffer::tolerate_schedule_variance(rationale); tolerated
-//     differences are counted, not fatal.
+//     under the canonical schedule.  Device buffers are snapshotted and
+//     restored between runs and only the canonical execution counts
+//     (Device::fold_lanes), so results, DeviceStats and KernelProf
+//     traffic are bit-identical whether or not permutation is on.  Any
+//     buffer whose final bytes differ between schedules is
+//     schedule-dependent, and there is no exemption.  Floating-point
+//     atomic_add cannot trip it: the device applies deferred FP atomics
+//     in canonical (block, phase, thread) order under every schedule, at
+//     the position() this checker tracks (kernel.hpp).  What the diff
+//     catches is order dependence that reaches memory another way, such
+//     as a thread that picks its output slot from an integer atomic's
+//     return value, which the access checker rightly accepts (atomics
+//     don't race).
 //
 // What KernelCheck proves / does not prove: a clean access check means no
 // intra-launch data race was *executed* for these inputs (it is a dynamic
@@ -118,7 +118,7 @@ class KernelChecker {
   void begin_launch(const char* name, std::uint32_t grid_dim,
                     std::uint32_t block_dim);
   /// Ends the launch; throws simcov::Error naming every finding of this
-  /// launch.  Always clears per-launch exemptions.
+  /// launch.
   void end_launch();
   std::uint64_t launch_seq() const { return launch_seq_; }
 
@@ -142,16 +142,11 @@ class KernelChecker {
   Snapshot snapshot_buffers() const;
   void restore_buffers(const Snapshot& snap) const;
   /// Compares a permuted run's final state against the canonical one and
-  /// records a schedule-dependent-result violation per differing buffer
-  /// (or counts it, for buffers tolerated this launch).
+  /// records a schedule-dependent-result violation per differing buffer.
   void diff_against_canonical(const Snapshot& canonical,
                               const Snapshot& permuted,
                               const char* schedule_label);
   void note_launch_permuted() { ++launches_permuted_; }
-
-  /// Exempts `data`'s buffer from the *next* end-of-launch bit-diff (the
-  /// access checker still applies).  Cleared by end_launch().
-  void tolerate_schedule_variance(const void* data, const char* rationale);
 
   // ---- access hooks (hot path; called by GlobalSpan / SharedSpan) --------
   void on_global_access(const void* buf, std::size_t elem, Access kind);
@@ -169,15 +164,19 @@ class KernelChecker {
   std::uint64_t accesses_checked() const { return accesses_checked_; }
   std::uint64_t launches_checked() const { return launches_checked_; }
   std::uint64_t launches_permuted() const { return launches_permuted_; }
-  std::uint64_t tolerated_diffs() const { return tolerated_diffs_; }
 
- private:
-  /// One access's position in the schedule.
+  /// One access's position in the schedule.  Sorted by (block, phase,
+  /// thread) it is the canonical order (the block driver, thread
+  /// kBlockDriver, has phases of its own).
   struct Who {
     std::uint32_t block = 0;
     std::uint32_t thread = 0;
     std::uint32_t phase = 0;
   };
+  /// The position of the access being made (deferred FP atomics log it).
+  const Who& position() const { return pos_; }
+
+ private:
 
   /// Per-element shadow state.  Representatives, not full sets: the
   /// latest plain writer, the latest atomic, and the latest two readers
@@ -216,12 +215,6 @@ class KernelChecker {
   std::vector<Cell>* cached_shadow_ = nullptr;
   bool cached_shared_ = false;
 
-  struct Exemption {
-    const void* data;
-    const char* rationale;
-  };
-  std::vector<Exemption> exemptions_;  ///< next-launch scope
-
   // Current (or, between launches, last) launch + position.
   bool in_launch_ = false;
   const char* kernel_name_ = nullptr;
@@ -239,7 +232,6 @@ class KernelChecker {
   std::uint64_t accesses_checked_ = 0;
   std::uint64_t launches_checked_ = 0;
   std::uint64_t launches_permuted_ = 0;
-  std::uint64_t tolerated_diffs_ = 0;
 
   static constexpr std::size_t kMaxRecordedViolations = 64;
   static constexpr std::uint32_t kBlockDriver = 0xFFFFFFFFu;

@@ -33,6 +33,11 @@
 //     every kernel as block-order independent; counting and atomics are
 //     per-worker and deterministic (kernel.hpp), so results and counters
 //     are the same bits for every W.
+//   * One counting rule: only the canonical execution of a launch counts
+//     (fold_lanes), into DeviceStats and, for a buffer with a KernelProf
+//     slot, into that slot too; a KernelCheck replay counts nothing, and
+//     deferred FP atomics apply in canonical (block, phase, thread) order
+//     under every schedule.
 //   * Shared memory exists per block, is zero-initialized at block start,
 //     and phases separated by sync() see each other's writes (the
 //     __syncthreads model; threads within a phase run sequentially, which
@@ -267,12 +272,12 @@ class Device {
   void end_kernel() { --kernel_depth_; }
 
   /// The single GlobalSpan factory: checks that `buf` lives on this
-  /// device and counts the span into a tally of `lane` routed to the
-  /// buffer's KernelProf slot, or to the DeviceStats aggregates when
-  /// profiling is off.  Launches call it once per buffer argument (each
-  /// gets its own tally); ThreadCtx::global and BlockCtx::global forward
-  /// to it and share the lane's tally for that destination, counting
-  /// `threads` binds (a RunCtx binds once for each thread of its run).
+  /// device and counts the span into a tally of `lane` that names the
+  /// buffer's KernelProf slot (null when profiling is off).  Launches call
+  /// it once per buffer argument (each gets its own tally);
+  /// ThreadCtx::global and BlockCtx::global forward to it and share the
+  /// lane's tally for that slot, counting `threads` binds (a RunCtx binds
+  /// once for each thread of its run).
   template <typename T>
   GlobalSpan<T> bind(DeviceBuffer<T>& buf, Lane& lane, bool launch_arg,
                      std::uint32_t threads = 1);
@@ -315,37 +320,51 @@ class Device {
     }
   }
 
-  /// End of one execution of a launch: folds every lane's tallies into
-  /// their destinations and its BlockCtx counts into stats_, then applies
-  /// the deferred FP atomics in ascending block index.  Lanes hold
-  /// ascending block ranges, so the lanes in order are in block order; only
-  /// a KernelCheck replay (lane 0 alone) can have run blocks out of order.
-  void fold_lanes() {
+  /// End of one execution of a launch.  Only the canonical execution
+  /// counts: it adds `blocks` and `threads` (the launch geometry; a
+  /// cooperative launch's threads are its BlockCtx phase counts) and every
+  /// lane's tallies and BlockCtx counts to stats_, and a tally routed to a
+  /// KernelProf slot to that slot as well.  A KernelCheck replay counts
+  /// nothing, so its traffic needs no undoing.  Every execution then
+  /// applies its deferred FP atomics: lanes hold ascending block ranges, so
+  /// the lanes in order are the canonical (block, phase, thread) order, and
+  /// a replay's log (lane 0 alone) is stable-sorted into it.  Each thread's
+  /// adds keep their program order, so every schedule applies the
+  /// canonical serial sum.
+  void fold_lanes(std::uint64_t blocks, std::uint64_t threads) {
+    const bool count = order_ == Order::kCanonical;
+    if (count) {
+      stats_.blocks_executed += blocks;
+      stats_.threads_executed += threads;
+    }
     for (Lane& l : lanes_) {
       for (std::size_t i = 0; i < l.used_; ++i) {
         SpanTally& t = l.tallies_[i];
-        if (t.dest != nullptr) {
-          t.dest->read_bytes += t.read_bytes;
-          t.dest->write_bytes += t.write_bytes;
-          t.dest->atomic_ops += t.atomic_ops;
-          t.dest->binds += t.binds;
-        } else {
+        if (count) {
           stats_.global_read_bytes += t.read_bytes;
           stats_.global_write_bytes += t.write_bytes;
           stats_.atomic_ops += t.atomic_ops;
+          if (t.dest != nullptr) {
+            t.dest->read_bytes += t.read_bytes;
+            t.dest->write_bytes += t.write_bytes;
+            t.dest->atomic_ops += t.atomic_ops;
+            t.dest->binds += t.binds;
+          }
         }
         t.read_bytes = t.write_bytes = t.atomic_ops = t.binds = 0;
       }
-      stats_.threads_executed += l.threads;
-      stats_.shared_bytes_allocated += l.shared_bytes;
+      if (count) {
+        stats_.threads_executed += l.threads;
+        stats_.shared_bytes_allocated += l.shared_bytes;
+      }
       l.threads = l.shared_bytes = 0;
     }
-    if (order_ != Order::kCanonical) {
-      std::stable_sort(
-          lanes_[0].fp_log_.begin(), lanes_[0].fp_log_.end(),
-          [](const Lane::FpAdd& a, const Lane::FpAdd& b) {
-            return a.block < b.block;
-          });
+    if (!count) {
+      std::stable_sort(lanes_[0].fp_log_.begin(), lanes_[0].fp_log_.end(),
+                       [](const Lane::FpAdd& a, const Lane::FpAdd& b) {
+                         return std::tie(a.at.block, a.at.phase, a.at.thread) <
+                                std::tie(b.at.block, b.at.phase, b.at.thread);
+                       });
     }
     for (Lane& l : lanes_) {
       for (const Lane::FpAdd& a : l.fp_log_) {
@@ -416,10 +435,8 @@ template <typename Exec>
 void Device::run_launch(const LaunchConfig& cfg, bool cooperative,
                         Exec&& exec) {
   // Profiling wraps the whole launch (including KernelCheck replays, whose
-  // wall time is honestly part of this run): snapshot per-buffer counters
-  // and the clock, run, then record the launch and fold the per-buffer
-  // deltas back into the DeviceStats aggregates so counters are identical
-  // with profiling on or off.
+  // wall time is honestly part of this run); the slots' traffic comes from
+  // the canonical execution's fold_lanes, like every other counter.
   if (prof_) prof_->begin_launch(stats_.threads_executed);
   if (!checker_) {
     exec();
@@ -436,11 +453,8 @@ void Device::run_launch(const LaunchConfig& cfg, bool cooperative,
     checker_->end_launch();
   }
   if (prof_) {
-    const obs::KernelProf::LaunchTotals tot = prof_->end_launch(
-        cfg.name, cfg.grid_dim, cfg.block_dim, stats_.threads_executed);
-    stats_.global_read_bytes += tot.read_bytes;
-    stats_.global_write_bytes += tot.write_bytes;
-    stats_.atomic_ops += tot.atomic_ops;
+    prof_->end_launch(cfg.name, cfg.grid_dim, cfg.block_dim,
+                      stats_.threads_executed);
   }
 }
 
@@ -448,14 +462,10 @@ template <typename Exec>
 void Device::run_with_permutations(const LaunchConfig& cfg, bool cooperative,
                                    Exec&& exec) {
   // Replays first, canonical last: the canonical execution is the one
-  // whose memory effects and counters survive, so results are bit-
-  // identical whether or not permutation is enabled.
+  // whose memory effects survive and the only one that counts
+  // (fold_lanes), so results and counters are bit-identical whether or
+  // not permutation is enabled.
   const KernelChecker::Snapshot pre = checker_->snapshot_buffers();
-  const DeviceStats saved = stats_;
-  // The profiler's per-buffer counters are restored in lockstep with
-  // stats_, so replays do not double-count traffic.
-  obs::KernelProf::CounterSnapshot prof_saved;
-  if (prof_) prof_saved = prof_->save_counters();
   KernelChecker::Snapshot posts[2];
   checker_->set_replay(true);
   const Order replays[2] = {Order::kReversed, Order::kShuffled};
@@ -464,8 +474,6 @@ void Device::run_with_permutations(const LaunchConfig& cfg, bool cooperative,
     exec();
     posts[p] = checker_->snapshot_buffers();
     checker_->restore_buffers(pre);
-    stats_ = saved;
-    if (prof_) prof_->restore_counters(prof_saved);
   }
   checker_->set_replay(false);
   set_order(Order::kCanonical, cfg, cooperative);
@@ -508,7 +516,6 @@ void Device::parallel_runs(const LaunchConfig& cfg, std::uint32_t segment,
         // The next segment edge; only a helper's range divides for it.
         std::uint64_t edge = b0 == 0 ? seg : (flat / seg + 1) * seg;
         for (std::uint32_t b = b0; b < b1; ++b) {
-          lane.block = b;
           const std::uint64_t first = flat, end = flat + bd;
           while (flat < end) {
             const std::uint64_t stop = std::min(end, edge);
@@ -529,14 +536,11 @@ void Device::parallel_runs(const LaunchConfig& cfg, std::uint32_t segment,
         const std::uint64_t idx = sched_flat(k, n);
         const auto b = static_cast<std::uint32_t>(idx / cfg.block_dim);
         const auto t = static_cast<std::uint32_t>(idx % cfg.block_dim);
-        lane.block = b;
         checker_->at_thread(b, t);
         run(lane, spans, b, t, 1);
       }
     }
-    stats_.blocks_executed += cfg.grid_dim;
-    stats_.threads_executed += cfg.total_threads();
-    fold_lanes();
+    fold_lanes(cfg.grid_dim, cfg.total_threads());
   };
   run_launch(cfg, /*cooperative=*/false, exec);
 }
@@ -574,14 +578,12 @@ void Device::launch_blocks(const LaunchConfig& cfg, F&& body,
             order_ == Order::kCanonical
                 ? k
                 : static_cast<std::uint32_t>(sched_flat(k, cfg.grid_dim));
-        lane.block = b;
         if (checker_) checker_->begin_block(b);
         BlockCtx ctx(*this, lane, cfg, b);
         std::apply([&](const GlobalSpan<Ts>&... s) { body(ctx, s...); }, sp);
       }
     });
-    stats_.blocks_executed += cfg.grid_dim;
-    fold_lanes();
+    fold_lanes(cfg.grid_dim, 0);
   };
   run_launch(cfg, /*cooperative=*/true, exec);
 }

@@ -26,22 +26,24 @@
 // Counting is per worker lane: a GlobalSpan increments the SpanTally it was
 // bound with, a cache-line-padded launch-local owned by the Lane (one per
 // worker of a block-parallel launch, device.hpp) that runs the thread.  At
-// the end of each execution of a launch the Device folds every lane's
-// tallies into their destination — the buffer's KernelProf slot
-// (obs/profile.hpp) when profiling is on, the DeviceStats aggregates
-// otherwise — so per-buffer attribution costs one null-pointer branch per
-// bind, nothing per access, and concurrent workers never share a counter.
+// the end of the canonical execution of a launch the Device adds every
+// lane's tallies to the DeviceStats aggregates, and a tally bound to a
+// buffer with a KernelProf slot (obs/profile.hpp) to that slot as well, so
+// per-buffer attribution costs one null-pointer branch per bind, nothing
+// per access, and concurrent workers never share a counter.  A KernelCheck
+// replay counts nothing.
 //
-// Atomics are deterministic for any worker count.  Integer atomic_add and
-// atomic_max are std::atomic_ref read-modify-writes (integer addition and
-// max commute, so any interleaving gives the same bits).  A floating-point
-// atomic_add is deferred: it appends (block, element, value) to its lane's
-// log, and the Device applies the logs in ascending block index at launch
-// end, within a block in the order the block ran its threads.  That is
-// the canonical serial sum, bit for bit, however the blocks were spread
-// over workers or shuffled by a KernelCheck replay.  The deferred add has
-// no old value to return, and a kernel must not read an element back in
-// the launch that FP-atomically adds to it.
+// Atomics are deterministic for any worker count and any schedule.
+// Integer atomic_add and atomic_max are std::atomic_ref read-modify-writes
+// (integer addition and max commute, so any interleaving gives the same
+// bits).  A floating-point atomic_add is deferred: it appends (schedule
+// position, element, value) to its lane's log, and the Device applies the
+// logs at launch end in canonical (block, phase, thread) order, each
+// thread's adds in program order.  That is the canonical serial sum, bit
+// for bit, however the blocks were spread over workers or the blocks and
+// threads shuffled by a KernelCheck replay.  The deferred add has no old
+// value to return, and a kernel must not read an element back in the
+// launch that FP-atomically adds to it.
 
 #include <array>
 #include <atomic>
@@ -68,9 +70,9 @@ class DeviceBuffer;
 class Lane;
 
 /// What one lane counted for one bound span during a launch: a launch-local
-/// the span increments, folded into `dest` (a KernelProf slot, or the
-/// DeviceStats aggregates when null) by Device::fold_lanes.  Padded to a
-/// cache line so lanes on different cores never share one.
+/// the span increments, added by Device::fold_lanes to the DeviceStats
+/// aggregates and, when the buffer has one, to its KernelProf slot `dest`.
+/// Padded to a cache line so lanes on different cores never share one.
 struct alignas(64) SpanTally {
   std::uint64_t read_bytes = 0;
   std::uint64_t write_bytes = 0;
@@ -105,15 +107,16 @@ class alignas(64) Lane {
     return new_tally(dest);
   }
 
-  /// The block this lane is executing (FP atomics are logged under it).
-  std::uint32_t block = 0;
   std::uint64_t threads = 0;       ///< BlockCtx phase threads executed
   std::uint64_t shared_bytes = 0;  ///< BlockCtx shared allocations
 
+  /// Logs an FP atomic_add under the checker's schedule position; without
+  /// a checker the launch is canonical and needs no position.
   template <typename T>
-  void defer_add(T* elem, T value) {
-    fp_log_.push_back({block, elem, static_cast<double>(value),
-                       std::is_same_v<T, float>});
+  void defer_add(T* elem, T value, const KernelChecker* chk) {
+    fp_log_.push_back({chk ? chk->position() : KernelChecker::Who{},
+                       std::is_same_v<T, float>, elem,
+                       static_cast<double>(value)});
   }
 
  private:
@@ -121,10 +124,10 @@ class alignas(64) Lane {
   /// One deferred floating-point atomic_add (float or double element; a
   /// float value survives the round trip through double exactly).
   struct FpAdd {
-    std::uint32_t block;
+    KernelChecker::Who at;  ///< (block, thread, phase) that issued it
+    bool is_float;
     void* elem;
     double value;
-    bool is_float;
   };
 
   std::array<SpanTally, 64> tallies_{};
@@ -187,14 +190,14 @@ class GlobalSpan {
   }
 
   /// atomicAdd.  Integers return the old value; a floating-point add is
-  /// deferred to launch end in block order (see the header comment) and
-  /// returns nothing.
+  /// deferred to launch end in canonical order (see the header comment)
+  /// and returns nothing.
   [[gnu::always_inline]] auto atomic_add(std::size_t i, T value) const {
     SIMCOV_ASSERT(i < size_, "atomic out of bounds");
     ++tally_->atomic_ops;
     if (chk_) chk_->on_global_access(data_, i, KernelChecker::Access::kAtomic);
     if constexpr (std::is_floating_point_v<T>) {
-      tally_->lane->defer_add(data_ + i, value);
+      tally_->lane->defer_add(data_ + i, value, chk_);
     } else {
       return std::atomic_ref<T>(data_[i]).fetch_add(value,
                                                     std::memory_order_relaxed);

@@ -19,13 +19,12 @@ GlobalSpan<T> Device::bind(DeviceBuffer<T>& buf, Lane& lane, bool launch_arg,
                            std::uint32_t threads) {
   SIMCOV_REQUIRE(&buf.device() == this,
                  "kernel bound a buffer from a different device");
-  // KernelProf substitution: when the buffer carries a profiler slot, the
-  // span's tally folds into the slot instead of the DeviceStats
-  // aggregates, attributing every byte to this named buffer.  One null
-  // check per *bind*, zero added cost per access; the Device folds slot
-  // deltas back into the aggregates at end of launch.
-  // Launch arguments bind on the launching thread, before any worker runs;
-  // a bind inside a thread may run on a helper, so it counts in its lane.
+  // KernelProf attribution: when the buffer carries a profiler slot, the
+  // span's tally names it, and fold_lanes adds the tally to the slot as
+  // well as to the DeviceStats aggregates.  One null check per *bind*,
+  // zero added cost per access.  Launch arguments bind on the launching
+  // thread, before any worker runs, and count once per launch; a bind
+  // inside a thread may run on a helper, so it counts in its lane.
   obs::ProfSlot* const slot = buf.prof_slot_;
   SpanTally* tally;
   if (launch_arg) {

@@ -5,14 +5,13 @@
 // BENCH_*.json therefore say which phase is off the model but not which of
 // the ~19 named kernel launches inside it.  KernelProf closes that gap: when
 // enabled (obs::Config::profile: --profile=1 or SIMCOV_PROFILE=1), every
-// GlobalSpan bind resolves its byte/atomic counter pointers to a per-buffer
-// slot instead of the DeviceStats aggregates, so each launch records wall
-// ns, launch config, active threads, and bytes read/written *per named
-// DeviceBuffer* — at zero added cost per access (the increment was always
-// through a pointer; only its target changes) and one extra null-pointer
-// branch per buffer *bind*.  At end of launch the per-buffer deltas are
-// folded back into DeviceStats, so modeled seconds are bit-identical with
-// profiling on or off.
+// DeviceBuffer gets a slot, and each launch records wall ns, launch
+// config, active threads, and bytes read/written *per named DeviceBuffer*.
+// The slot is filled by the same end-of-launch fold that fills the
+// DeviceStats aggregates (gpusim::Device::fold_lanes adds each span's
+// tally to both), so attribution costs one null-pointer branch per buffer
+// *bind* and nothing per access, and the aggregates and modeled seconds
+// are the same bits with profiling on or off.
 //
 // Layering: this header is self-contained (no perfmodel/ or report-side
 // link dependencies) so gpusim — which links only simcov_util and
@@ -21,7 +20,6 @@
 // utilization against perfmodel/machine.hpp) lives in profile.cpp, compiled
 // into simcov_benchreport.
 
-#include <array>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -53,12 +51,11 @@ struct BufferTraffic {
   std::uint64_t atomic_ops = 0;
 };
 
-/// One registered DeviceBuffer's live counters.  GlobalSpans constructed
-/// while profiling is on increment these (via pointers bound by
-/// gpusim::Device::bind, once per launch argument) instead of the
-/// DeviceStats aggregates.
-/// Slots live in a deque so their addresses are stable for the lifetime of
-/// any span bound to them.
+/// One registered DeviceBuffer's counters.  The traffic fields hold the
+/// current launch's traffic: KernelProf::begin_launch zeroes them and
+/// gpusim::Device::fold_lanes adds the canonical execution's tallies of
+/// the spans bound to this buffer.  Slots live in a deque so their
+/// addresses are stable for the lifetime of any span bound to them.
 struct ProfSlot {
   std::string buffer;          ///< registered name ("tcells.pos", ...)
   const void* base = nullptr;  ///< storage identity; nullptr = free slot
@@ -66,8 +63,6 @@ struct ProfSlot {
   std::uint64_t write_bytes = 0;
   std::uint64_t atomic_ops = 0;
   std::uint64_t binds = 0;  ///< GlobalSpan binds (overhead-gate site count)
-  // begin_launch snapshot, for per-launch deltas.
-  std::uint64_t rd0 = 0, wr0 = 0, at0 = 0;
 };
 
 /// One profiled kernel launch, as recorded by the Device.
@@ -138,7 +133,6 @@ class KernelProf {
         s.buffer = name != nullptr ? name : "<unnamed>";
         s.base = base;
         s.read_bytes = s.write_bytes = s.atomic_ops = s.binds = 0;
-        s.rd0 = s.wr0 = s.at0 = 0;
         return &s;
       }
     }
@@ -155,25 +149,14 @@ class KernelProf {
 
   void begin_launch(std::uint64_t threads_executed_before) {
     threads_before_ = threads_executed_before;
-    for (ProfSlot& s : slots_) {
-      s.rd0 = s.read_bytes;
-      s.wr0 = s.write_bytes;
-      s.at0 = s.atomic_ops;
-    }
+    for (ProfSlot& s : slots_) s.read_bytes = s.write_bytes = s.atomic_ops = 0;
     launch_start_ns_ = prof_now_ns();
   }
 
-  /// Totals of the finished launch, for the Device to fold back into its
-  /// DeviceStats aggregates (keeping them identical to a non-profiled run).
-  struct LaunchTotals {
-    std::uint64_t read_bytes = 0;
-    std::uint64_t write_bytes = 0;
-    std::uint64_t atomic_ops = 0;
-  };
-
-  LaunchTotals end_launch(const char* name, std::uint32_t grid_dim,
-                          std::uint32_t block_dim,
-                          std::uint64_t threads_executed_now) {
+  /// Records the finished launch from the slots' traffic.
+  void end_launch(const char* name, std::uint32_t grid_dim,
+                  std::uint32_t block_dim,
+                  std::uint64_t threads_executed_now) {
     LaunchRecord rec;
     rec.kernel = name != nullptr ? name : "<unnamed>";
     rec.grid_dim = grid_dim;
@@ -181,46 +164,17 @@ class KernelProf {
     rec.start_ns = launch_start_ns_;
     rec.end_ns = prof_now_ns();
     rec.threads = threads_executed_now - threads_before_;
-    LaunchTotals tot;
     for (const ProfSlot& s : slots_) {
-      const std::uint64_t rd = s.read_bytes - s.rd0;
-      const std::uint64_t wr = s.write_bytes - s.wr0;
-      const std::uint64_t at = s.atomic_ops - s.at0;
-      if (rd == 0 && wr == 0 && at == 0) continue;
-      rec.buffers.emplace_back(s.buffer, BufferTraffic{rd, wr, at});
-      tot.read_bytes += rd;
-      tot.write_bytes += wr;
-      tot.atomic_ops += at;
+      if (s.read_bytes == 0 && s.write_bytes == 0 && s.atomic_ops == 0) {
+        continue;
+      }
+      rec.buffers.emplace_back(
+          s.buffer, BufferTraffic{s.read_bytes, s.write_bytes, s.atomic_ops});
+      rec.read_bytes += s.read_bytes;
+      rec.write_bytes += s.write_bytes;
+      rec.atomic_ops += s.atomic_ops;
     }
-    rec.read_bytes = tot.read_bytes;
-    rec.write_bytes = tot.write_bytes;
-    rec.atomic_ops = tot.atomic_ops;
     pending_.push_back(std::move(rec));
-    return tot;
-  }
-
-  /// Slot-counter snapshot/restore, used by Device::run_with_permutations so
-  /// KernelCheck replays do not double-count traffic (mirrors the DeviceStats
-  /// save/restore on the same path).
-  using CounterSnapshot = std::vector<std::array<std::uint64_t, 4>>;
-  CounterSnapshot save_counters() const {
-    CounterSnapshot snap;
-    snap.reserve(slots_.size());
-    for (const ProfSlot& s : slots_) {
-      snap.push_back({s.read_bytes, s.write_bytes, s.atomic_ops, s.binds});
-    }
-    return snap;
-  }
-  void restore_counters(const CounterSnapshot& snap) {
-    std::size_t i = 0;
-    for (ProfSlot& s : slots_) {
-      if (i >= snap.size()) break;  // slots registered mid-launch: impossible
-      s.read_bytes = snap[i][0];
-      s.write_bytes = snap[i][1];
-      s.atomic_ops = snap[i][2];
-      s.binds = snap[i][3];
-      ++i;
-    }
   }
 
   /// Launch records since the last drain (the caller tags them with the

@@ -19,11 +19,27 @@ namespace simcov::pgas {
 
 int Rank::world_size() const { return runtime_.num_ranks_; }
 
-void Runtime::team_wait() {
+void Runtime::team_wait(RankId me) {
+  arrivals_.fetch_add(1, std::memory_order_relaxed);
   barrier_->arrive_and_wait();
-  // The wait orders this load after a failing peer's store: it raised the
-  // flag before its arrive_and_drop() completed the phase.
+  // The wait orders these loads after a failing peer's store (it raised
+  // the flag before its arrive_and_drop() completed the phase) and after
+  // the phase's completion step.
   if (aborted_.load(std::memory_order_relaxed)) throw TeamAborted();
+  if (short_.load(std::memory_order_relaxed)) {
+    throw Error("barrier-count mismatch: rank " + std::to_string(me) +
+                " waited at a team barrier that a rank which had returned "
+                "never reached");
+  }
+}
+
+void Runtime::PhaseEnd::operator()() noexcept {
+  // Every arrival of the phase happens before its completion step, and
+  // the step before any waiter is released.
+  const int arrived = rt->arrivals_.exchange(0, std::memory_order_relaxed);
+  if (arrived > 0 && arrived < rt->num_ranks_) {
+    rt->short_.store(true, std::memory_order_relaxed);
+  }
 }
 
 void Rank::barrier() {
@@ -32,7 +48,7 @@ void Rank::barrier() {
   // wait): its per-rank spread is the load-imbalance signal the metrics
   // layer exports, and CommStats carries it whether or not obs is on.
   const obs::Nanos t0 = obs::now_ns();
-  runtime_.team_wait();
+  runtime_.team_wait(id_);
   const obs::Nanos t1 = obs::now_ns();
   stats_.barrier_wait_ns += static_cast<std::uint64_t>(t1 - t0);
   if (obs::tracer().enabled()) obs::tracer().record("barrier", id_, t0, t1);
@@ -169,7 +185,7 @@ void Rank::obs_allgather(std::span<const double> values,
   // span, no checker epoch — see the header contract.  The waits still
   // establish the happens-before the slot reuse needs, exactly as in the
   // counted collectives, and still abort with the team.
-  runtime_.team_wait();
+  runtime_.team_wait(id_);
   for (int r = 0; r < world_size(); ++r) {
     const auto& slot = slots[static_cast<std::size_t>(r)];
     SIMCOV_REQUIRE(slot.size() == values.size(),
@@ -178,7 +194,7 @@ void Rank::obs_allgather(std::span<const double> values,
               all.begin() + static_cast<std::ptrdiff_t>(
                                 values.size() * static_cast<std::size_t>(r)));
   }
-  runtime_.team_wait();
+  runtime_.team_wait(id_);
 }
 
 void Rank::broadcast(RankId root, std::span<std::byte> data) {
@@ -289,18 +305,6 @@ std::span<const std::byte> Rank::channel(int chan) const {
   return {it->second.data(), it->second.size()};
 }
 
-std::span<std::byte> Rank::channel_mutable(int chan) {
-  if (auto* ck = runtime_.checker_.get()) ck->on_channel_read(id_, chan);
-  const bool tracing = obs::tracer().enabled();
-  const obs::Nanos t0 = tracing ? obs::now_ns() : 0;
-  std::lock_guard<std::mutex> lock(channel_mutex_);
-  auto it = channels_.find(chan);
-  SIMCOV_REQUIRE(it != channels_.end(),
-                 "reading unregistered channel " + std::to_string(chan));
-  if (tracing) drain_flows_locked(chan, t0);
-  return {it->second.data(), it->second.size()};
-}
-
 // ---------------------------------------------------------------------------
 // Runtime
 // ---------------------------------------------------------------------------
@@ -318,12 +322,15 @@ Runtime::~Runtime() = default;
 void Runtime::run(const std::function<void(Rank&)>& fn) {
   // Fresh per job: Rank objects (clean RPC queues, channels and counters),
   // the checker (epochs and put logs start at zero), the team barrier and
-  // its abort flag.
+  // its flags.
   ranks_.clear();
   checker_.reset();
   if (check_enabled_) checker_ = std::make_unique<DisciplineChecker>(num_ranks_);
-  barrier_ = std::make_unique<std::barrier<>>(num_ranks_);
+  barrier_ = std::make_unique<std::barrier<PhaseEnd>>(num_ranks_,
+                                                      PhaseEnd{this});
   aborted_.store(false, std::memory_order_relaxed);
+  arrivals_.store(0, std::memory_order_relaxed);
+  short_.store(false, std::memory_order_relaxed);
   for (int r = 0; r < num_ranks_; ++r) {
     // make_unique cannot reach the private constructor; ownership is taken
     // by the unique_ptr in the same expression.
@@ -345,6 +352,7 @@ void Runtime::run(const std::function<void(Rank&)>& fn) {
     threads.emplace_back([this, r, &fn, &abort_team] {
       try {
         fn(*ranks_[static_cast<std::size_t>(r)]);
+        barrier_->arrive_and_drop();  // finished: peers wait no more for it
       } catch (const TeamAborted&) {
         barrier_->arrive_and_drop();  // releases the ranks still waiting
       } catch (const std::exception& e) {

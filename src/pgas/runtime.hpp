@@ -31,7 +31,11 @@
 //
 // Failure policy (as a failed UPC++ process takes its job down): a rank
 // that throws aborts its team.  Every team wait then throws TeamAborted on
-// the peers, and run() throws the first failure, naming its rank.
+// the peers, and run() throws the first failure, naming its rank.  A rank
+// whose function returns drops out of the team barrier; a peer that this
+// releases from a wait (the ranks disagree on how many barriers the job
+// has) throws a barrier-count mismatch, which aborts the team the same
+// way, instead of waiting forever.
 
 #include <atomic>
 #include <barrier>
@@ -144,7 +148,6 @@ class Rank {
 
   /// This rank's view of its own channel (read after the exchange barrier).
   std::span<const std::byte> channel(int channel) const;
-  std::span<std::byte> channel_mutable(int channel);
 
   CommStats& stats() { return stats_; }
   const CommStats& stats() const { return stats_; }
@@ -184,8 +187,8 @@ class Rank {
   std::map<int, std::vector<std::byte>> channels_;
   // Trace flow ids of puts landed in each channel since its last read.
   // Only populated while the tracer is enabled; drained (and turned into
-  // "apply" spans with flow-in bindings) by the next channel()/
-  // channel_mutable() call.  Guarded by channel_mutex_ like the channels.
+  // "apply" spans with flow-in bindings) by the next channel() call.
+  // Guarded by channel_mutex_ like the channels.
   mutable std::map<int, std::vector<std::uint64_t>> pending_flows_;
 
   void drain_flows_locked(int chan, std::int64_t t0) const;
@@ -222,15 +225,28 @@ class Runtime {
  private:
   friend class Rank;
 
-  /// The one team wait: arrive, wait, and throw if the team was aborted.
-  void team_wait();
+  /// The one team wait: arrive, wait, and throw TeamAborted if the team
+  /// was aborted, or a barrier-count mismatch naming rank `me` if the
+  /// phase ended short of the whole team.
+  void team_wait(RankId me);
+
+  /// The team barrier's completion step.  A phase that some but not all
+  /// ranks reached through team_wait ended because ranks that had returned
+  /// dropped out (or, in an aborted job, failed ones): it marks the job
+  /// short.  A phase of drops alone (the job's end) is not short.
+  struct PhaseEnd {
+    Runtime* rt;
+    void operator()() noexcept;
+  };
 
   int num_ranks_;
   bool check_enabled_ = false;
-  // Both reset per job: a failed rank's arrive_and_drop() lowers the
-  // barrier's count for good, and it raises the flag before dropping.
-  std::unique_ptr<std::barrier<>> barrier_;
+  // All reset per job: a rank's arrive_and_drop() lowers the barrier's
+  // count for good; a failing rank raises aborted_ before dropping.
+  std::unique_ptr<std::barrier<PhaseEnd>> barrier_;
   std::atomic<bool> aborted_{false};
+  std::atomic<int> arrivals_{0};  ///< team_wait arrivals this phase
+  std::atomic<bool> short_{false};  ///< a phase ended short (PhaseEnd)
 
   // Collective scratch: one slot per rank.  Writes (each rank to its own
   // slot) and cross-rank reads are separated by the collective's barriers,

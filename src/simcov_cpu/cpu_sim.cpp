@@ -22,11 +22,6 @@ namespace simcov::cpu {
 
 namespace {
 
-constexpr bool transient_epi(EpiState s) {
-  return s == EpiState::kIncubating || s == EpiState::kExpressing ||
-         s == EpiState::kApoptotic;
-}
-
 /// Bytes per voxel in the end-of-step state pack: epi(1) + virus(4) + chem(4).
 constexpr std::size_t kStatePackBytes = 9;
 
@@ -272,7 +267,7 @@ class CpuRank {
   // ---- active list ----------------------------------------------------------
   bool is_active_voxel(std::size_t i) const {
     return virus_[i] > 0.0f || chem_[i] > 0.0f || tcell_[i] != 0 ||
-           transient_epi(epi_state_[i]);
+           rules::transient_epi(epi_state_[i]);
   }
 
   /// A halo unpack's activation: test-and-set, appended unsorted.
@@ -704,14 +699,7 @@ class CpuRank {
           epi_counts_[static_cast<std::size_t>(s)];
     }
     stats.tcells_tissue = tcell_list_.size();
-    const auto flat = stats.flatten();
-    const auto reduced =
-        rank_.allreduce_sum(std::span<const double>(flat.data(), flat.size()));
-    std::array<double, StepStats::kFlatSize> arr{};
-    std::copy(reduced.begin(), reduced.end(), arr.begin());
-    stats = StepStats::unflatten(arr);
-    pool_ = rules::pool_after_step(pool_, step_, params_, stats.extravasated);
-    stats.tcells_vascular = pool_;
+    spmd::reduce_step_stats(rank_, stats, pool_, step_, params_);
   }
 
   // ---- cost accounting ---------------------------------------------------------

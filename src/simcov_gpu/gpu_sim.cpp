@@ -29,11 +29,6 @@ using gpusim::DeviceBuffer;
 using gpusim::LaunchConfig;
 using gpusim::RunCtx;
 
-constexpr bool transient_epi(EpiState s) {
-  return s == EpiState::kIncubating || s == EpiState::kExpressing ||
-         s == EpiState::kApoptotic;
-}
-
 /// Modeled locality penalty of the untiled layout (§3.2/§3.4): without
 /// memory tiling the reduction and update kernels stream voxel records that
 /// span distant SoA rows, which the paper observes as slower reductions.
@@ -970,7 +965,8 @@ class GpuRank {
               if (x >= w_ || y >= h_) continue;  // tile padding
               if (vir.read(slot) > 0.0f || che.read(slot) > 0.0f ||
                   tc.read(slot) != 0 ||
-                  transient_epi(static_cast<EpiState>(epi.read(slot)))) {
+                  rules::transient_epi(
+                      static_cast<EpiState>(epi.read(slot)))) {
                 found[tid] = 1;
               }
             }
@@ -1014,14 +1010,7 @@ class GpuRank {
         static_cast<std::uint64_t>(dev_stats[2 + kNumEpiStates] + 0.5);
     stats.extravasated = extrav[0];
 
-    const auto flat = stats.flatten();
-    const auto reduced =
-        rank_.allreduce_sum(std::span<const double>(flat.data(), flat.size()));
-    std::array<double, StepStats::kFlatSize> arr{};
-    std::copy(reduced.begin(), reduced.end(), arr.begin());
-    stats = StepStats::unflatten(arr);
-    pool_ = rules::pool_after_step(pool_, step_, params_, stats.extravasated);
-    stats.tcells_vascular = pool_;
+    spmd::reduce_step_stats(rank_, stats, pool_, step_, params_);
 
     stats_dev_.fill(0.0);
     extrav_dev_.fill(0);
@@ -1031,14 +1020,6 @@ class GpuRank {
   /// atomics — the contention §3.3 identifies as the dominant cost.
   void reduce_atomic() {
     const std::uint64_t n = lay_.interior_slots();
-    // Per-voxel floating-point atomic adds: the device applies them in
-    // block order, but KernelCheck's replays still permute the threads
-    // inside each block, which reorders the additions; this is the
-    // intentionally order-tolerant unoptimized variant (§3.3).  Consumers
-    // compare virus/chem at 1e-9 relative tolerance and the integer-valued
-    // stats are exact below 2^53.
-    stats_dev_.tolerate_schedule_variance(
-        "unoptimized per-voxel FP atomic reduction");
     dev_.parallel_for(linear_launch(n, "reduce_atomic"),
                       [&, n](auto& t, const auto& out, const auto& vir,
                              const auto& che, const auto& epi,
@@ -1068,7 +1049,7 @@ class GpuRank {
         n / (static_cast<std::uint64_t>(bd) * 8), 1, 256));
     const std::uint64_t stride = static_cast<std::uint64_t>(blocks) * bd;
     // The per-block partial sums meet in global memory through one FP
-    // atomic_add per stat, which the device applies in block order
+    // atomic_add per stat, which the device applies in canonical order
     // (gpusim/kernel.hpp): bit-identical for any block count or schedule.
     dev_.launch_blocks({blocks, bd, "reduce_tree"},
                        [&, n, bd, stride](auto& blk, const auto& epi,
@@ -1209,8 +1190,6 @@ class GpuRank {
             static_cast<double>(chk->violation_count()));
       m.set("gpu.check.permuted", r,
             static_cast<double>(chk->launches_permuted()));
-      m.set("gpu.check.tolerated", r,
-            static_cast<double>(chk->tolerated_diffs()));
     }
     if (const obs::MemScope* ms = dev_.memscope()) {
       // MemScope series: the device registry's live/peak totals plus the

@@ -34,6 +34,7 @@
 // counters and modeled seconds of both backends depend only on their steps.
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -45,6 +46,7 @@
 #include "core/decomposition.hpp"
 #include "core/grid.hpp"
 #include "core/params.hpp"
+#include "core/rules.hpp"
 #include "core/stats.hpp"
 #include "gpusim/device.hpp"
 #include "obs/config.hpp"
@@ -68,7 +70,6 @@ struct RunOptions {
   /// off boundary length, i.e. halo traffic).
   Decomposition::Kind decomp = Decomposition::Kind::kBlock2D;
   bool record_digests = false;  ///< per-step full-state digests (tests)
-  perfmodel::MachineSpec machine = perfmodel::MachineSpec::perlmutter_like();
   /// Modeled-time extrapolation to paper-scale grids (see CostModel).
   double area_scale = 1.0;
   /// Instruments and checkers (obs/config.hpp); defaults to the parsed
@@ -154,6 +155,23 @@ struct RunResult {
   }
 };
 
+/// The end of both backends' reduce_stats phase: sums the rank's partial
+/// `stats` over the team with one allreduce_sum, then advances the
+/// vascular pool, which every rank computes alike from the reduced
+/// extravasation count, and records it in `stats`.
+inline void reduce_step_stats(pgas::Rank& rank, StepStats& stats,
+                              double& pool, std::uint64_t step,
+                              const SimParams& params) {
+  const auto flat = stats.flatten();
+  const auto reduced =
+      rank.allreduce_sum(std::span<const double>(flat.data(), flat.size()));
+  std::array<double, StepStats::kFlatSize> arr{};
+  std::copy(reduced.begin(), reduced.end(), arr.begin());
+  stats = StepStats::unflatten(arr);
+  pool = rules::pool_after_step(pool, step, params, stats.extravasated);
+  stats.tcells_vascular = pool;
+}
+
 /// Runs `params` SPMD over options.num_ranks ranks; see the file comment.
 template <typename MakeRank>
 RunResult run_spmd(const SimParams& params, const RunOptions& options,
@@ -162,8 +180,9 @@ RunResult run_spmd(const SimParams& params, const RunOptions& options,
   SIMCOV_REQUIRE(options.num_ranks >= 1, "need at least one rank");
   const Grid grid(params.dim_x, params.dim_y, params.dim_z);
   const Decomposition dec(grid, options.num_ranks, options.decomp);
-  const perfmodel::CostModel model(options.machine, backend,
-                                   options.num_ranks, options.area_scale);
+  const perfmodel::CostModel model(perfmodel::MachineSpec::perlmutter_like(),
+                                   backend, options.num_ranks,
+                                   options.area_scale);
 
   // Raise the process-wide MemScope flag before any Rank exists: pgas::Rank
   // creates its registry at construction and the RSS sampler keys off it.

@@ -7,9 +7,10 @@
 // kernel, the buffer and the first conflicting pair.  Positive tests pin
 // down that the blessed patterns — disjoint writes, atomic reductions,
 // phased shared-memory trees — stay silent, that schedule permutation
-// flags order-dependent floating-point reductions without perturbing
-// canonical results, and that the full GPU simulation is race-free and
-// bit-deterministic end to end.
+// leaves floating-point atomic reductions at their canonical bits, flags
+// order dependence that reaches memory through integer atomics, and never
+// perturbs canonical results, and that the full GPU simulation is
+// race-free and bit-deterministic end to end.
 
 #include <gtest/gtest.h>
 
@@ -330,24 +331,87 @@ TEST(KernelCheck, SeededPermutationIsDeterministicAndComplete) {
   }
 }
 
-TEST(KernelCheck, PermutationFlagsOrderDependentFloatReduction) {
+TEST(KernelCheck, PermutationCleanForInexactFloatAtomicsInOneBlock) {
+  // (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1 in binary floating point, so
+  // the replays' thread orders would change these sums if the device
+  // applied FP atomics as they ran.  It applies them in canonical
+  // (block, phase, thread) order, each thread's in program order, so every
+  // schedule gives the canonical serial sum.
   Device dev(0, permuted());
   DeviceBuffer<double> sum(dev, 1, 0.0, "fp_sum");
-  // (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1 in binary floating point: the
-  // access checker rightly accepts the atomics, but the result depends on
-  // thread order — exactly what the bit-for-bit replay diff catches.
-  const std::string err = launch_error([&] {
-    dev.parallel_for({1, 3, "k_fp_reduce"}, [&](auto& t) {
-      t.global(sum).atomic_add(0, 0.1 * (t.thread_idx() + 1));
+  dev.parallel_for({1, 3, "k_fp_reduce"}, [&](auto& t, const auto& out) {
+    out.atomic_add(0, 0.1 * (t.thread_idx() + 1));
+  }, sum);
+  double expect = 0.0;
+  for (int t = 0; t < 3; ++t) expect = expect + 0.1 * (t + 1);
+  std::vector<double> host(1);
+  sum.copy_to_host(host);
+  EXPECT_EQ(host[0], expect);
+
+  // A cooperative kernel: each thread adds twice in each of two phases,
+  // and the block driver adds between the phases.
+  constexpr std::uint32_t kBlocks = 3, kThreads = 4;
+  DeviceBuffer<double> coop(dev, 2, 0.0, "coop_sum");
+  const auto term = [](std::uint32_t b, std::uint32_t t, int k) {
+    return 0.1 * (t + 1) + 0.01 * (b + 1) + 0.001 * k;
+  };
+  dev.launch_blocks({kBlocks, kThreads, "k_fp_phases"}, [&](auto& blk,
+                                                           const auto& out) {
+    const std::uint32_t b = blk.block_idx();
+    blk.for_each_thread([&](std::uint32_t t) {
+      out.atomic_add(0, term(b, t, 0));
+      out.atomic_add(1, term(b, t, 1));
+      out.atomic_add(0, term(b, t, 2));
     });
+    out.atomic_add(0, term(b, 7, 3));
+    blk.for_each_thread([&](std::uint32_t t) {
+      out.atomic_add(0, term(b, t, 4));
+      out.atomic_add(1, term(b, t, 5));
+    });
+  }, coop);
+  double e0 = 0.0, e1 = 0.0;
+  for (std::uint32_t b = 0; b < kBlocks; ++b) {
+    for (std::uint32_t t = 0; t < kThreads; ++t) {
+      e0 = e0 + term(b, t, 0);
+      e1 = e1 + term(b, t, 1);
+      e0 = e0 + term(b, t, 2);
+    }
+    e0 = e0 + term(b, 7, 3);
+    for (std::uint32_t t = 0; t < kThreads; ++t) {
+      e0 = e0 + term(b, t, 4);
+      e1 = e1 + term(b, t, 5);
+    }
+  }
+  std::vector<double> both(2);
+  coop.copy_to_host(both);
+  EXPECT_EQ(both[0], e0);
+  EXPECT_EQ(both[1], e1);
+  EXPECT_TRUE(dev.checker()->clean()) << dev.checker()->report();
+  EXPECT_EQ(dev.checker()->launches_permuted(), 2u);
+}
+
+TEST(KernelCheck, PermutationFlagsOrderDependentAtomicSlots) {
+  // Each thread claims an output slot through an integer atomic's return
+  // value.  Nothing races and the counter ends the same, but which thread
+  // lands in which slot follows the schedule: order dependence the replay
+  // diff must catch.
+  Device dev(0, permuted());
+  DeviceBuffer<std::uint32_t> next(dev, 1, 0, "slot_counter");
+  DeviceBuffer<std::uint32_t> slots(dev, 8, 0, "claimed_slots");
+  const std::string err = launch_error([&] {
+    dev.parallel_for({1, 8, "k_claim_slots"}, [&](auto& t, const auto& n,
+                                                  const auto& out) {
+      out.write(n.atomic_add(0, 1u), t.thread_idx());
+    }, next, slots);
   });
   EXPECT_NE(err.find("schedule-dependent result"), std::string::npos) << err;
-  EXPECT_NE(err.find("fp_sum"), std::string::npos) << err;
-  EXPECT_NE(err.find("k_fp_reduce"), std::string::npos) << err;
+  EXPECT_NE(err.find("claimed_slots"), std::string::npos) << err;
+  EXPECT_NE(err.find("k_claim_slots"), std::string::npos) << err;
 }
 
 TEST(KernelCheck, PermutationCleanForIntegerAtomicsAndCountsOnce) {
-  Device dev(0, permuted());
+  Device dev(0, {.obs = {.kernel_check = true, .permute = true,
+                         .profile = true}});
   DeviceBuffer<std::uint64_t> sum(dev, 1, 0, "int_sum");
   dev.parallel_for({2, 8, "k_int_reduce"}, [&](auto& t) {
     t.global(sum).atomic_add(0, 1);
@@ -355,12 +419,22 @@ TEST(KernelCheck, PermutationCleanForIntegerAtomicsAndCountsOnce) {
   std::vector<std::uint64_t> host(1);
   sum.copy_to_host(host);
   EXPECT_EQ(host[0], 16u);
-  // Replays restore DeviceStats: counters describe the canonical run only.
+  // Replays count nothing: counters describe the canonical run only.
   EXPECT_EQ(dev.stats().kernel_launches, 1u);
+  EXPECT_EQ(dev.stats().blocks_executed, 2u);
   EXPECT_EQ(dev.stats().threads_executed, 16u);
   EXPECT_EQ(dev.stats().atomic_ops, 16u);
   EXPECT_EQ(dev.checker()->launches_permuted(), 1u);
   EXPECT_TRUE(dev.checker()->clean());
+  // So does KernelProf: one record, the canonical traffic and binds.
+  const std::vector<obs::LaunchRecord> recs = dev.profiler()->drain();
+  ASSERT_EQ(recs.size(), 1u);
+  EXPECT_EQ(recs[0].threads, 16u);
+  EXPECT_EQ(recs[0].atomic_ops, 16u);
+  ASSERT_EQ(recs[0].buffers.size(), 1u);
+  EXPECT_EQ(recs[0].buffers[0].first, "int_sum");
+  EXPECT_EQ(recs[0].buffers[0].second.atomic_ops, 16u);
+  EXPECT_EQ(dev.profiler()->total_binds(), 16u);
 }
 
 TEST(KernelCheck, PermutationKeepsCanonicalResult) {
@@ -381,8 +455,7 @@ TEST(KernelCheck, PermutationKeepsCanonicalResult) {
 
 TEST(KernelCheck, PermutationCleanForCrossBlockFloatAtomics) {
   // One FP atomic_add per block: the device applies them in block order,
-  // so shuffled and reversed block schedules give the canonical bits with
-  // no tolerate_schedule_variance annotation.
+  // so shuffled and reversed block schedules give the canonical bits.
   Device dev(0, permuted());
   DeviceBuffer<double> sum(dev, 1, 0.0, "block_sum");
   dev.launch_blocks({7, 2, "k_block_fp"}, [&](auto& blk) {
@@ -396,29 +469,7 @@ TEST(KernelCheck, PermutationCleanForCrossBlockFloatAtomics) {
   sum.copy_to_host(host);
   EXPECT_EQ(host[0], expect);
   EXPECT_TRUE(dev.checker()->clean()) << dev.checker()->report();
-  EXPECT_EQ(dev.checker()->tolerated_diffs(), 0u);
   EXPECT_EQ(dev.checker()->launches_permuted(), 1u);
-}
-
-TEST(KernelCheck, ToleratedVarianceIsCountedNotFatal) {
-  Device dev(0, permuted());
-  DeviceBuffer<double> sum(dev, 1, 0.0, "fp_sum");
-  sum.tolerate_schedule_variance("test: intentionally order-tolerant");
-  dev.parallel_for({1, 3, "k_fp_reduce"}, [&](auto& t) {
-    t.global(sum).atomic_add(0, 0.1 * (t.thread_idx() + 1));
-  });
-  EXPECT_EQ(dev.checker()->violation_count(), 0u);
-  EXPECT_GE(dev.checker()->tolerated_diffs(), 1u);
-  // The exemption is scoped to that one launch: the same kernel without a
-  // fresh annotation is flagged again.  (Reset the accumulator first so the
-  // re-run reproduces the known order-dependent sums bit for bit.)
-  sum.fill(0.0);
-  const std::string err = launch_error([&] {
-    dev.parallel_for({1, 3, "k_fp_reduce"}, [&](auto& t) {
-      t.global(sum).atomic_add(0, 0.1 * (t.thread_idx() + 1));
-    });
-  });
-  EXPECT_NE(err.find("schedule-dependent result"), std::string::npos) << err;
 }
 
 // ---- full simulation ------------------------------------------------------
@@ -540,8 +591,7 @@ TEST(KernelCheck, RaggedRanksAndTilesPermuteCleanAndCountAlike) {
 
 TEST(KernelCheck, MultiBlockTreeReductionPermutesWithoutExemption) {
   // 64x64 on one rank is 4096 interior slots, so reduce_tree launches 4
-  // blocks whose partial sums meet through FP atomics.  No launch carries
-  // a tolerate_schedule_variance annotation any more: every permuted
+  // blocks whose partial sums meet through FP atomics: every permuted
   // replay must reproduce the canonical bits, statistics included.
   SimParams p = checker_sim_params();
   p.dim_x = 64;
@@ -562,6 +612,34 @@ TEST(KernelCheck, MultiBlockTreeReductionPermutesWithoutExemption) {
   const auto r = gpu::run_gpu_sim(p, foi, perm);
   EXPECT_EQ(r.check_violations, 0u);
   EXPECT_EQ(r.digests, base.digests);
+  ASSERT_EQ(r.history.size(), base.history.size());
+  for (std::size_t i = 0; i < r.history.size(); ++i) {
+    EXPECT_EQ(r.history[i].flatten(), base.history[i].flatten())
+        << "step " << i;
+  }
+}
+
+TEST(KernelCheck, UnoptimizedVariantPermutesCleanAndBitIdentical) {
+  // The Unoptimized variant reduces its statistics with per-voxel FP
+  // atomics (reduce_atomic), many per block: permuted replays must give
+  // the canonical bits, statistics included, with no exemption.
+  const SimParams p = checker_sim_params();
+  const Grid grid(p.dim_x, p.dim_y, p.dim_z);
+  const auto foi = foi_uniform_random(grid, p.num_foi, p.seed);
+
+  gpu::GpuSimOptions plain;
+  plain.variant = gpu::GpuVariant::unoptimized();
+  plain.record_digests = true;
+  plain.obs = obs::Config{};
+  const auto base = gpu::run_gpu_sim(p, foi, plain);
+
+  gpu::GpuSimOptions perm = plain;
+  perm.obs.kernel_check = true;
+  perm.obs.permute = true;
+  const auto r = gpu::run_gpu_sim(p, foi, perm);
+  EXPECT_EQ(r.check_violations, 0u);
+  EXPECT_EQ(r.digests, base.digests);
+  expect_same_device_total(r.device_total, base.device_total);
   ASSERT_EQ(r.history.size(), base.history.size());
   for (std::size_t i = 0; i < r.history.size(); ++i) {
     EXPECT_EQ(r.history[i].flatten(), base.history[i].flatten())

@@ -484,6 +484,70 @@ TEST(PgasFailFast, ThrowWhilePeersWaitInObsAllgatherAbortsTheTeam) {
   fail_fast::expect_root_cause(what, 3, 4, "injected failure");
 }
 
+TEST(PgasFailFast, ExtraBarrierAfterPeersReturnedFailsItsRank) {
+  // Rank `extra` waits at one team barrier more than its peers call: their
+  // return releases it, and it fails with a barrier-count mismatch
+  // instead of waiting forever.
+  for (const bool checked : {false, true}) {
+    for (int ranks = 2; ranks <= 5; ++ranks) {
+      for (int extra = 0; extra < ranks; ++extra) {
+        for (const int common : {0, 3}) {
+          SCOPED_TRACE("checker " + std::to_string(checked) + ", " +
+                       std::to_string(ranks) + " ranks, rank " +
+                       std::to_string(extra) + " after " +
+                       std::to_string(common) + " common barriers");
+          Runtime rt(ranks, {.obs = {.pgas_check = checked}});
+          const std::string what = fail_fast::error_of([&] {
+            rt.run([&](Rank& r) {
+              for (int k = 0; k < common; ++k) r.barrier();
+              if (r.id() == extra) r.barrier();
+            });
+          });
+          fail_fast::expect_root_cause(what, extra, ranks,
+                                       "barrier-count mismatch");
+        }
+      }
+    }
+  }
+}
+
+TEST(PgasFailFast, RankReturningBeforeItsPeersBarrierFailsTheJob) {
+  // Rank `early` returns one barrier (or one collective) before its peers:
+  // the peers it releases fail with a barrier-count mismatch, and run()
+  // names one of them.
+  for (const bool checked : {false, true}) {
+    for (const bool collective : {false, true}) {
+      for (int ranks = 2; ranks <= 5; ++ranks) {
+        for (int early = 0; early < ranks; ++early) {
+          SCOPED_TRACE("checker " + std::to_string(checked) + ", " +
+                       std::to_string(ranks) + " ranks, rank " +
+                       std::to_string(early) + " returns early" +
+                       (collective ? " from a collective" : ""));
+          Runtime rt(ranks, {.obs = {.pgas_check = checked}});
+          const std::string what = fail_fast::error_of([&] {
+            rt.run([&](Rank& r) {
+              r.barrier();
+              if (r.id() == early) return;
+              if (collective) {
+                (void)r.allreduce_sum(1.0);
+              } else {
+                r.barrier();
+              }
+            });
+          });
+          EXPECT_NE(what.find("barrier-count mismatch"), std::string::npos)
+              << what;
+          EXPECT_EQ(what.rfind("rank ", 0), 0u) << what;
+          EXPECT_NE(what.rfind("rank " + std::to_string(early) + ":", 0), 0u)
+              << what;
+          EXPECT_EQ(what.find(TeamAborted().what()), std::string::npos)
+              << what;
+        }
+      }
+    }
+  }
+}
+
 TEST(PgasFailFast, RuntimeRunsACleanJobAfterAnAbortedOne) {
   // Every rank of the aborted job drops out of its barrier, so the next job
   // needs a fresh barrier and a cleared abort flag.

@@ -114,8 +114,9 @@ TEST(SpmdDriver, CostIsTheHandPricedFoldOfTheSamples) {
   // The toy does no communication inside its phases, so each phase costs
   // exactly its priced sample; the fold takes the max over ranks per
   // (step, phase) and sums over steps.
-  const perfmodel::CostModel model(opt.machine, perfmodel::Backend::kCpu,
-                                   kRanks, opt.area_scale);
+  const perfmodel::CostModel model(perfmodel::MachineSpec::perlmutter_like(),
+                                   perfmodel::Backend::kCpu, kRanks,
+                                   opt.area_scale);
   double tcells = 0.0, reduce = 0.0;
   for (int rank = 0; rank < kRanks; ++rank) {
     tcells = std::max(tcells, model.price(tcells_sample(rank)));
