@@ -25,7 +25,6 @@
 #include "harness/experiment.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
-#include "obs/summary.hpp"
 #include "obs/trace.hpp"
 #include "util/table.hpp"
 
@@ -72,8 +71,8 @@ inline void print_shape_check(const std::string& claim, bool holds) {
 ///
 /// Usage: construct with the bench name + header strings, route every
 /// simulation through run_gpu/run_cpu/run_reference (each wraps the harness
-/// call with in-memory metrics so the PhaseClock counters and comm matrix
-/// are harvested into the report), record verdicts via shape_check() and
+/// call with in-memory metrics and adds the run's harness::run_report
+/// record, labelled, to the report), record verdicts via shape_check() and
 /// scalars via metric(), then finish() — which prints the aggregate
 /// measured-vs-modeled drift table to stderr and writes the JSON.
 ///
@@ -158,60 +157,12 @@ class Reporter {
     obs::metrics().enable("");
     obs::rss_sampler().reset();
     harness::BackendResult r = run();
-    obs::rss_sampler().sample_now();
-    const auto counters = obs::metrics().counters();
+    obs::BenchConfig cfg =
+        harness::run_report(spec, r, obs::metrics().counters());
     obs::metrics().disable();
-
-    obs::BenchConfig cfg;
     cfg.label = label;
     cfg.backend = backend;
     cfg.ranks = ranks;
-    cfg.params = {
-        {"dim_x", static_cast<double>(spec.params.dim_x)},
-        {"dim_y", static_cast<double>(spec.params.dim_y)},
-        {"dim_z", static_cast<double>(spec.params.dim_z)},
-        {"num_steps", static_cast<double>(spec.params.num_steps)},
-        {"num_foi", static_cast<double>(spec.params.num_foi)},
-        {"seed", static_cast<double>(spec.params.seed)},
-        {"area_scale", spec.area_scale},
-        {"decomp_linear",
-         spec.decomp == Decomposition::Kind::kLinear ? 1.0 : 0.0},
-    };
-    cfg.measured_wall_s = r.measured_wall_s;
-    cfg.modeled_s = r.cost.total_s;
-    cfg.measured_by_phase_s = obs::BenchReport::measured_phases_from(counters);
-    cfg.modeled_by_phase_s = obs::BenchReport::modeled_phases_from(r.cost);
-    cfg.drift = obs::BenchReport::drift_from(cfg.measured_by_phase_s,
-                                             cfg.modeled_by_phase_s);
-    if (!r.kernel_profile.empty()) {
-      // Per-kernel roofline drift rows decomposing the phase drift above.
-      // The harness always models the default machine spec.
-      cfg.kernels = obs::kernel_drift_rows(
-          r.kernel_profile, cfg.measured_by_phase_s, cfg.modeled_by_phase_s,
-          perfmodel::MachineSpec::perlmutter_like());
-    }
-    if (!r.memory.empty()) {
-      // The "memory" section: measured per-buffer registry, category drift
-      // against the mem_model prediction, the device allocator watermark,
-      // and the OS-side reconciliation samples taken during this run.
-      cfg.memory = r.memory;
-      cfg.mem_drift = obs::memory_drift_rows(r.memory.categories(),
-                                             r.mem_modeled_by_category);
-      cfg.device_peak_bytes = r.device_total.peak_allocated_bytes;
-      cfg.rss = obs::rss_sampler().last();
-      cfg.rss_samples = obs::rss_sampler().samples();
-    }
-    if (r.critpath.steps() > 0) {
-      // The "criticalpath" section: per-phase critical shares, binding-rank
-      // counts, and the what-if projections priced against the same cost
-      // model the drift rows use.
-      cfg.criticalpath = obs::build_critpath_report(
-          r.critpath, obs::phase_name_list(), obs::modeled_phase_list(r.cost));
-      cfg.criticalpath.step_wall_s = r.step_loop_wall_s;
-      cfg.criticalpath.tail_s = r.step_tail_s;
-    }
-    cfg.comm_total = r.comm_total();
-    cfg.comm_matrix = obs::BenchReport::matrix_from(r.comm_by_rank);
     report_.add_config(std::move(cfg));
     return r;
   }

@@ -6,6 +6,7 @@
 
 #include "core/grid.hpp"
 #include "core/reference_sim.hpp"
+#include "obs/memscope.hpp"
 #include "obs/metrics.hpp"
 #include "obs/summary.hpp"
 #include "obs/trace.hpp"
@@ -47,10 +48,8 @@ BackendResult run_reference(const RunSpec& spec) {
 
 BackendResult run_cpu(const RunSpec& spec, int cpu_ranks) {
   cpu::CpuSimOptions opt;
+  static_cast<spmd::RunSetup&>(opt) = spec;
   opt.num_ranks = cpu_ranks;
-  opt.decomp = spec.decomp;
-  opt.area_scale = spec.area_scale;
-  opt.obs = spec.obs;
   const std::vector<VoxelId> foi = spec.resolve_foi();
   return timed([&] {
     return cpu::run_cpu_sim(spec.params, foi, opt, spec.empty_voxels);
@@ -60,11 +59,9 @@ BackendResult run_cpu(const RunSpec& spec, int cpu_ranks) {
 BackendResult run_gpu(const RunSpec& spec, int gpu_ranks,
                       gpu::GpuVariant variant) {
   gpu::GpuSimOptions opt;
+  static_cast<spmd::RunSetup&>(opt) = spec;
   opt.num_ranks = gpu_ranks;
-  opt.decomp = spec.decomp;
   opt.variant = variant;
-  opt.area_scale = spec.area_scale;
-  opt.obs = spec.obs;
   const std::vector<VoxelId> foi = spec.resolve_foi();
   return timed([&] {
     return gpu::run_gpu_sim(spec.params, foi, opt, spec.empty_voxels);
@@ -74,6 +71,69 @@ BackendResult run_gpu(const RunSpec& spec, int gpu_ranks,
 double speedup(const BackendResult& cpu, const BackendResult& gpu) {
   SIMCOV_REQUIRE(gpu.cost.total_s > 0.0, "GPU runtime is zero");
   return cpu.cost.total_s / gpu.cost.total_s;
+}
+
+obs::BenchConfig run_report(
+    const RunSpec& spec, const BackendResult& result,
+    const std::map<std::string, std::map<int, double>>& counters) {
+  using obs::BenchReport;
+  obs::BenchConfig cfg;
+  cfg.params = {
+      {"dim_x", static_cast<double>(spec.params.dim_x)},
+      {"dim_y", static_cast<double>(spec.params.dim_y)},
+      {"dim_z", static_cast<double>(spec.params.dim_z)},
+      {"num_steps", static_cast<double>(spec.params.num_steps)},
+      {"num_foi", static_cast<double>(spec.params.num_foi)},
+      {"seed", static_cast<double>(spec.params.seed)},
+      {"area_scale", spec.area_scale},
+      {"decomp_linear",
+       spec.decomp == Decomposition::Kind::kLinear ? 1.0 : 0.0},
+  };
+  cfg.measured_wall_s = result.measured_wall_s;
+  cfg.modeled_s = result.cost.total_s;
+  cfg.measured_by_phase_s = BenchReport::measured_phases_from(counters);
+  cfg.modeled_by_phase_s = BenchReport::modeled_phases_from(result.cost);
+  cfg.drift =
+      BenchReport::drift_from(cfg.measured_by_phase_s, cfg.modeled_by_phase_s);
+  if (!result.kernel_profile.empty()) {
+    // Per-kernel roofline rows decomposing the phase drift above; without
+    // metrics their phase shares read n/a but the per-kernel wall times and
+    // bandwidths are still real.  The harness always models the default
+    // machine spec.
+    cfg.kernels = obs::kernel_drift_rows(
+        result.kernel_profile, cfg.measured_by_phase_s,
+        cfg.modeled_by_phase_s, perfmodel::MachineSpec::perlmutter_like());
+  }
+  if (!result.memory.empty()) {
+    // The measured per-buffer registry, its category drift against the
+    // memory model, the device allocator watermark and the OS RSS
+    // reconciliation.  One final unconditional sample lets short runs
+    // (fewer phase boundaries than the sampler stride) report real numbers.
+    obs::rss_sampler().sample_now();
+    cfg.memory = result.memory;
+    cfg.mem_drift = obs::memory_drift_rows(result.memory.categories(),
+                                           result.mem_modeled_by_category);
+    cfg.device_peak_bytes = result.device_total.peak_allocated_bytes;
+    cfg.rss = obs::rss_sampler().last();
+    cfg.rss_samples = obs::rss_sampler().samples();
+  }
+  if (result.critpath.steps() > 0) {
+    // Per-phase critical shares, binding-rank counts and the what-if
+    // projections, priced against the cost model the drift rows use.
+    std::vector<std::string> names;
+    std::vector<double> modeled;
+    for (int p = 0; p < perfmodel::kNumPhases; ++p) {
+      names.emplace_back(perfmodel::phase_name(static_cast<perfmodel::Phase>(p)));
+      modeled.push_back(result.cost.by_phase[static_cast<std::size_t>(p)]);
+    }
+    cfg.criticalpath = obs::build_critpath_report(result.critpath, names,
+                                                  modeled);
+    cfg.criticalpath.step_wall_s = result.step_loop_wall_s;
+    cfg.criticalpath.tail_s = result.step_tail_s;
+  }
+  cfg.comm_total = result.comm_total();
+  cfg.comm_matrix = BenchReport::matrix_from(result.comm_by_rank);
+  return cfg;
 }
 
 namespace {
@@ -114,10 +174,8 @@ void finish_observability(unsigned summary_sections) {
   }
   obs::MetricsRegistry& m = obs::metrics();
   if (m.enabled()) {
-    obs::Summary summary;
-    summary.sections = summary_sections & obs::kSummaryPhases;
-    summary.counters = m.counters();
-    summary.print(stderr);
+    obs::print_summary(stderr, obs::BenchConfig{},
+                       summary_sections & obs::kSummaryPhases, m.counters());
     if (!m.path().empty()) {
       m.flush();
       std::fprintf(stderr, "metrics written to %s\n", m.path().c_str());

@@ -1,40 +1,40 @@
 #pragma once
-// Experiment harness: uniform entry points the benchmark binaries use to
-// regenerate the paper's tables and figures.
+// Experiment harness: uniform entry points the benchmark binaries and the
+// simcov driver use to run the paper's configurations.
 //
-// A RunSpec describes one simulation configuration (grid, steps, FOI, seed,
-// and the area-scale factor mapping our scaled-down grid to the paper's);
-// run_cpu / run_gpu execute it on the requested backend with the requested
-// resources and return both the scientific output (time series) and the
-// modeled runtime from the performance model.
+// One run goes in as a RunSpec (grid, steps, FOI, seed, and the
+// spmd::RunSetup it shares with the backends' options: decomposition, the
+// area-scale factor mapping our scaled-down grid to the paper's, and the
+// instruments); run_cpu / run_gpu execute it on the requested backend with
+// the requested resources and return both the scientific output (time
+// series) and the modeled runtime from the performance model.  One record
+// comes out: run_report turns the spec and result into the obs::BenchConfig
+// that a bench writes to its BENCH JSON and the driver prints with
+// obs::print_summary.
 
+#include <map>
+#include <string>
 #include <vector>
 
-#include "core/decomposition.hpp"
 #include "core/foi.hpp"
 #include "core/params.hpp"
-#include "obs/config.hpp"
+#include "obs/report.hpp"
 #include "simcov_cpu/cpu_sim.hpp"
 #include "simcov_gpu/gpu_sim.hpp"
 #include "spmd/run.hpp"
 
 namespace simcov::harness {
 
-struct RunSpec {
+/// One simulation configuration; the rank count and variant are the run
+/// calls' arguments.  The spmd::RunSetup base (decomp, area_scale, obs)
+/// passes to the backend's options unchanged.
+struct RunSpec : spmd::RunSetup {
   SimParams params;
   /// Explicit FOI voxels; when empty, params.num_foi uniform-random seeds
   /// (keyed by params.seed) are generated.
   std::vector<VoxelId> foi;
   /// Voxels with no tissue (airway lumens); empty = solid tissue.
   std::vector<VoxelId> empty_voxels;
-  /// Modeled-time extrapolation factor: paper-scale voxels / our voxels.
-  double area_scale = 1.0;
-  /// Sub-domain shape (paper Fig. 1B); the decomposition ablation bench
-  /// flips this to compare halo traffic.
-  Decomposition::Kind decomp = Decomposition::Kind::kBlock2D;
-  /// Instruments and checkers for CPU and GPU runs (obs/config.hpp);
-  /// defaults to the parsed environment.
-  obs::Config obs = obs::Config::from_env();
 
   std::vector<VoxelId> resolve_foi() const;
 };
@@ -64,6 +64,17 @@ constexpr int cpus_for_gpus(int gpus) { return 32 * gpus; }
 /// Formats a speedup annotation as in Figs. 6-8 (CPU runtime / GPU runtime).
 double speedup(const BackendResult& cpu, const BackendResult& gpu);
 
+/// The one record of a run: params, measured and modeled seconds by phase
+/// with their drift rows, and, where their instrument ran, the kernel drift
+/// rows, the memory report (with a final RSS sample taken here), the
+/// critical-path report and the comm matrix.  `counters` are the metrics
+/// counters the run left (obs::metrics().counters(); empty without
+/// metrics, and the record then has no measured phases).  The caller sets
+/// label, backend and ranks.
+obs::BenchConfig run_report(
+    const RunSpec& spec, const BackendResult& result,
+    const std::map<std::string, std::map<int, double>>& counters);
+
 /// Points the process-wide tracer and metrics registry (src/obs) at the
 /// config's trace and metrics paths (a set path enables its collector, the
 /// tracer with the config's ring size) and applies its series cap.  Paths
@@ -73,7 +84,7 @@ void configure_observability(const obs::Config& config);
 
 /// Flushes the trace and metrics to their configured paths and, when metrics
 /// were collected, prints the measured per-phase wall-clock breakdown table
-/// (the obs::Summary "phases" section) to stderr — suppressed when
+/// (obs::print_summary's "phases" section) to stderr — suppressed when
 /// `summary_sections` (an obs::SummarySection mask, --summary=) excludes it.
 /// Safe to call when observability is disabled (no-op).
 void finish_observability(unsigned summary_sections = ~0u);

@@ -5,9 +5,10 @@
 // KernelProf, MemScope, CritPath, the PGAS discipline checker) and the
 // collector settings (trace and metrics paths, trace ring size, series cap,
 // bench report directory) live in this one struct.  Every options struct
-// that turns an instrument on — gpusim::DeviceOptions, pgas::RuntimeOptions,
-// spmd::RunOptions (and so {Cpu,Gpu}SimOptions), harness::RunSpec — carries
-// a Config, nothing else.
+// that turns an instrument on — gpusim::DeviceOptions and spmd::RunSetup
+// (the base of spmd::RunOptions, so of {Cpu,Gpu}SimOptions, and of
+// harness::RunSpec) — carries a Config, nothing else; pgas::Runtime takes
+// one as its constructor argument.
 //
 // Sources, lowest precedence first:
 //

@@ -11,7 +11,9 @@
 //   * one enclosing "step" span;
 //   * cumulative counters "phase.<name>.wall_ns" and "step.wall_ns" per
 //     rank in the metrics registry — the input of the end-of-run phase
-//     breakdown table (harness::print_phase_breakdown).
+//     breakdown table (obs::print_summary's phases section, printed by
+//     harness::finish_observability) and of the drift rows
+//     (BenchReport::measured_phases_from).
 //
 // When MemScope is active (obs/memscope.hpp process flag), phase boundaries
 // additionally feed the OS RSS sampler — the phase grid is exactly the

@@ -395,21 +395,21 @@ void BenchReport::write() const {
 }
 
 void BenchReport::print_drift_summary(std::FILE* out) const {
-  // Aggregate over configs: sum measured and modeled per-phase seconds, then
-  // compare shares.  One table per bench keeps the signal readable even for
-  // binaries that run ten configurations.  Rendering goes through the
-  // obs::Summary drift printer so every epilogue shares one table format.
-  Summary summary;
-  summary.sections = kSummaryDrift;
+  // One record summed over configs keeps the signal readable even for
+  // binaries that run ten configurations; it prints through the same
+  // printer as a single run's drift table.
+  BenchConfig all;
+  all.label = "all configs";
   for (const BenchConfig& c : configs_) {
     for (const auto& [k, v] : c.measured_by_phase_s) {
-      summary.measured_by_phase_s[k] += v;
+      all.measured_by_phase_s[k] += v;
     }
     for (const auto& [k, v] : c.modeled_by_phase_s) {
-      summary.modeled_by_phase_s[k] += v;
+      all.modeled_by_phase_s[k] += v;
     }
   }
-  summary.print(out);
+  all.drift = drift_from(all.measured_by_phase_s, all.modeled_by_phase_s);
+  print_summary(out, all, kSummaryDrift);
 }
 
 }  // namespace simcov::obs

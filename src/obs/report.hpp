@@ -3,14 +3,17 @@
 //
 // Every bench binary historically printed a human table and exited — the
 // numbers evaporated, so no PR could prove it made a hot path faster (or be
-// caught making one slower).  BenchReport is the single source of truth the
-// tables and the JSON now both come from: per configuration it records the
-// *measured* wall seconds and per-phase breakdown (from the PhaseClock
-// counters in obs::Metrics), the *modeled* seconds and per-phase costs (from
-// perfmodel::RunCost), the divergence between the two (the drift report that
-// makes the Fig. 6-8 extrapolations falsifiable), and the communication
-// counters including the per-(src,dst)-rank matrix.  tools/check_bench.py
-// validates the schema and gates regressions against bench/baselines/.
+// caught making one slower).  A BenchConfig is the one record of a run:
+// harness::run_report builds it from the run's result, obs::print_summary
+// (obs/summary.hpp) prints the end-of-run tables from it, and BenchReport
+// writes it as one config of the JSON.  Per run it holds the *measured*
+// wall seconds and per-phase breakdown (from the PhaseClock counters in
+// obs::Metrics), the *modeled* seconds and per-phase costs (from
+// perfmodel::RunCost), the divergence between the two (the drift report
+// that makes the Fig. 6-8 extrapolations falsifiable), and the
+// communication counters including the per-(src,dst)-rank matrix.
+// tools/check_bench.py validates the schema and gates regressions against
+// bench/baselines/.
 //
 // Schema (version "simcov-bench/1"):
 //   {
@@ -114,7 +117,9 @@ struct MachineFingerprint {
   static MachineFingerprint current();
 };
 
-/// One benchmarked configuration of a bench binary.
+/// One run's record: one benchmarked configuration of a bench binary, or
+/// the simcov driver's run.  harness::run_report fills everything but
+/// label, backend and ranks.
 struct BenchConfig {
   std::string label;
   std::string backend;  ///< "cpu" | "gpu" | "reference"
@@ -126,8 +131,8 @@ struct BenchConfig {
   std::map<std::string, double> measured_by_phase_s;
   std::map<std::string, double> modeled_by_phase_s;
   std::vector<DriftRow> drift;
-  /// Per-kernel roofline drift rows (profiled GPU runs only; empty
-  /// otherwise).  Built with obs::kernel_drift_rows.
+  /// Per-kernel roofline drift rows (obs::kernel_drift_rows; profiled GPU
+  /// runs only, empty otherwise).
   std::vector<KernelDriftRow> kernels;
   /// MemScope per-buffer report merged over ranks (memscope runs only;
   /// empty otherwise — an empty report suppresses the "memory" section).
@@ -142,8 +147,9 @@ struct BenchConfig {
   /// phase-boundary sampler took during this config's run.
   RssSample rss;
   std::uint64_t rss_samples = 0;
-  /// CritPath report (critpath runs only; empty() suppresses the
-  /// "criticalpath" section).  Built with obs::build_critpath_report.
+  /// CritPath report (obs::build_critpath_report plus the step-loop wall
+  /// and tail; critpath runs only, empty() suppresses the "criticalpath"
+  /// section).
   CritPathReport criticalpath;
   pgas::CommStats comm_total;       ///< summed over ranks (peers merged)
   std::vector<CommEdge> comm_matrix;  ///< sorted by (src,dst)
@@ -179,11 +185,12 @@ class BenchReport {
   /// Writes to path(); throws simcov::Error on I/O failure.
   void write() const;
 
-  /// Prints the aggregate measured-vs-modeled drift table (summed over all
-  /// recorded configs) to `out`.  No-op when nothing was measured.
+  /// Prints the aggregate measured-vs-modeled drift table (one record
+  /// summed over all recorded configs, labelled "all configs") to `out`.
+  /// No-op when nothing was measured.
   void print_drift_summary(std::FILE* out) const;
 
-  // ---- builders for the pieces callers assemble a BenchConfig from -------
+  // ---- builders for the pieces harness::run_report assembles -------------
 
   /// Per-phase drift of measured against modeled seconds (phase name ->
   /// seconds, as measured_phases_from / modeled_phases_from build them),

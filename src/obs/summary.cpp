@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/report.hpp"
 #include "util/error.hpp"
 #include "util/table.hpp"
 
@@ -38,30 +37,11 @@ unsigned parse_summary_selector(const std::string& csv) {
   return mask;
 }
 
-std::vector<std::string> phase_name_list() {
-  std::vector<std::string> names;
-  names.reserve(perfmodel::kNumPhases);
-  for (int p = 0; p < perfmodel::kNumPhases; ++p) {
-    names.emplace_back(perfmodel::phase_name(static_cast<perfmodel::Phase>(p)));
-  }
-  return names;
-}
-
-std::vector<double> modeled_phase_list(const perfmodel::RunCost& cost) {
-  std::vector<double> s(perfmodel::kNumPhases, 0.0);
-  for (int p = 0; p < perfmodel::kNumPhases; ++p) {
-    s[static_cast<std::size_t>(p)] = cost.by_phase[static_cast<std::size_t>(p)];
-  }
-  return s;
-}
-
 namespace {
 
 /// Measured per-phase wall-clock breakdown from the "phase.*.wall_ns"
 /// counters the PhaseClock accumulates: mean and max over ranks (the gap
 /// between them is load skew) and each phase's share of the total.
-/// (Moved here from harness/experiment.cpp so every epilogue goes through
-/// the one Summary printer.)
 void print_phase_breakdown(
     std::FILE* out,
     const std::map<std::string, std::map<int, double>>& counters) {
@@ -94,56 +74,47 @@ void print_phase_breakdown(
                t.to_string().c_str());
 }
 
-}  // namespace
-
-void print_drift_table(
-    std::FILE* out, const std::map<std::string, double>& measured_by_phase_s,
-    const std::map<std::string, double>& modeled_by_phase_s) {
-  const std::vector<DriftRow> rows =
-      BenchReport::drift_from(measured_by_phase_s, modeled_by_phase_s);
-  // A run can have one side only: a reference config has no model, a
-  // modeled-only run may have metrics disabled.  Print what exists and
-  // "n/a" for shares whose total is zero.
-  const bool have_measured =
-      std::any_of(rows.begin(), rows.end(),
-                  [](const DriftRow& r) { return r.measured_s > 0.0; });
+/// The measured-vs-modeled drift table over `run.drift`; a modeled side
+/// that is missing (a reference config has no model) reads "n/a".
+void print_drift_table(std::FILE* out, const BenchConfig& run) {
   const bool have_modeled =
-      std::any_of(rows.begin(), rows.end(),
+      std::any_of(run.drift.begin(), run.drift.end(),
                   [](const DriftRow& r) { return r.modeled_s > 0.0; });
-  if (!have_measured && !have_modeled) return;
   TextTable t({"phase", "measured s", "share", "modeled s", "share",
                "divergence"});
-  for (const DriftRow& r : rows) {
+  for (const DriftRow& r : run.drift) {
     t.add_row({r.phase, fmt(r.measured_s, 4),
-               have_measured ? fmt(r.measured_share * 100.0, 1) + "%" : "n/a",
-               fmt(r.modeled_s, 4),
+               fmt(r.measured_share * 100.0, 1) + "%", fmt(r.modeled_s, 4),
                have_modeled ? fmt(r.modeled_share * 100.0, 1) + "%" : "n/a",
-               have_measured && have_modeled
-                   ? fmt(r.divergence * 100.0, 1) + " pp"
-                   : "n/a"});
+               have_modeled ? fmt(r.divergence * 100.0, 1) + " pp" : "n/a"});
   }
+  const std::string scope = run.label.empty() ? "" : run.label + ", ";
   std::fprintf(out,
-               "measured-vs-modeled phase drift (all configs, divergence = "
-               "measured share - modeled share):\n%s",
-               t.to_string().c_str());
+               "measured-vs-modeled phase drift (%sdivergence = measured "
+               "share - modeled share):\n%s",
+               scope.c_str(), t.to_string().c_str());
 }
 
-void Summary::print(std::FILE* out) const {
+}  // namespace
+
+void print_summary(
+    std::FILE* out, const BenchConfig& run, unsigned sections,
+    const std::map<std::string, std::map<int, double>>& counters) {
   if ((sections & kSummaryPhases) != 0 && !counters.empty()) {
     print_phase_breakdown(out, counters);
   }
-  if ((sections & kSummaryDrift) != 0 &&
-      (!measured_by_phase_s.empty() || !modeled_by_phase_s.empty())) {
-    print_drift_table(out, measured_by_phase_s, modeled_by_phase_s);
+  if ((sections & kSummaryDrift) != 0 && !run.measured_by_phase_s.empty()) {
+    print_drift_table(out, run);
   }
-  if ((sections & kSummaryKernels) != 0 && !kernels.empty()) {
-    print_kernel_profile(out, kernels);
+  if ((sections & kSummaryKernels) != 0 && !run.kernels.empty()) {
+    print_kernel_profile(out, run.kernels);
   }
-  if ((sections & kSummaryMemory) != 0 && !memory.empty()) {
-    print_memory_report(out, memory, mem_drift, rss, rss_samples);
+  if ((sections & kSummaryMemory) != 0 && !run.memory.empty()) {
+    print_memory_report(out, run.memory, run.mem_drift, run.rss,
+                        run.rss_samples);
   }
-  if ((sections & kSummaryCritpath) != 0 && !critpath.empty()) {
-    print_critpath_report(out, critpath);
+  if ((sections & kSummaryCritpath) != 0 && !run.criticalpath.empty()) {
+    print_critpath_report(out, run.criticalpath);
   }
 }
 

@@ -1,31 +1,24 @@
 #pragma once
-// Summary: the single end-of-run stderr/stdout printer.
-//
-// Every observability subsystem historically printed its own table from its
-// own call site (the harness printed the phase breakdown, BenchReport the
-// drift table, simcov_main the roofline / memory / critical-path reports),
-// so a run's epilogue was scattered and unselectable.  Summary unifies them:
-// callers fill in whichever inputs they have, pick sections with a bitmask
-// (--summary=phases,drift,kernels,memory,critpath on the driver), and
-// print() renders the selected, populated sections in a fixed order.
+// The one end-of-run printer: every table simcov prints after a run, and
+// the drift table a bench prints over all its configs, is rendered here
+// from one obs::BenchConfig, the record harness::run_report builds (the
+// same record a BENCH_<name>.json config is written from).  Callers pick
+// sections with a bitmask (--summary=phases,drift,kernels,memory,critpath
+// on the driver); print_summary renders the selected, populated sections
+// in a fixed order.
 //
 // Layering: lives in simcov_benchreport (it speaks the perfmodel phase
 // vocabulary and reuses the memscope / profile / critpath table printers).
 
-#include <cstdint>
 #include <cstdio>
 #include <map>
 #include <string>
-#include <vector>
 
-#include "obs/critpath.hpp"
-#include "obs/memscope.hpp"
-#include "obs/profile.hpp"
-#include "perfmodel/cost_model.hpp"
+#include "obs/report.hpp"
 
 namespace simcov::obs {
 
-/// Section bits for Summary::sections / --summary=.
+/// Section bits for print_summary / --summary=.
 enum SummarySection : unsigned {
   kSummaryPhases = 1u << 0,    ///< measured per-phase wall-clock breakdown
   kSummaryDrift = 1u << 1,     ///< measured-vs-modeled phase drift
@@ -41,48 +34,18 @@ enum SummarySection : unsigned {
 /// simcov::Error on an unknown token.
 unsigned parse_summary_selector(const std::string& csv);
 
-/// perfmodel's canonical phase names, indexed by perfmodel::Phase — the
-/// `phase_names` argument build_critpath_report expects.
-std::vector<std::string> phase_name_list();
-
-/// A RunCost's max-folded per-phase seconds as a dense vector indexed by
-/// perfmodel::Phase — the `modeled_by_phase_s` argument
-/// build_critpath_report expects.
-std::vector<double> modeled_phase_list(const perfmodel::RunCost& cost);
-
-/// Prints the measured-vs-modeled drift table over per-phase second maps
-/// (phase name -> seconds).  Either side may be empty: its columns read
-/// "n/a".  No-op when both totals are zero.
-void print_drift_table(std::FILE* out,
-                       const std::map<std::string, double>& measured_by_phase_s,
-                       const std::map<std::string, double>& modeled_by_phase_s);
-
-/// One run's end-of-run summary.  Fill what you have; print() renders each
-/// section only when it is both selected in `sections` and populated.
-struct Summary {
-  unsigned sections = kSummaryAll;
-
-  /// Metrics counters ("phase.<name>.wall_ns" per rank) for the phases
-  /// section — pass obs::metrics().counters().
-  std::map<std::string, std::map<int, double>> counters;
-
-  /// Per-phase seconds for the drift section.
-  std::map<std::string, double> measured_by_phase_s;
-  std::map<std::string, double> modeled_by_phase_s;
-
-  /// KernelProf rows for the kernels section.
-  std::vector<KernelDriftRow> kernels;
-
-  /// MemScope inputs for the memory section.
-  MemReport memory;
-  std::vector<MemDriftRow> mem_drift;
-  RssSample rss;
-  std::uint64_t rss_samples = 0;
-
-  /// CritPath report for the critpath section.
-  CritPathReport critpath;
-
-  void print(std::FILE* out) const;
-};
+/// Prints each section that is selected in `sections` and populated:
+///   phases    the per-rank "phase.<name>.wall_ns" metrics `counters`
+///             (mean and max over ranks, which the record's rank sums
+///             cannot give);
+///   drift     run.drift, when run.measured_by_phase_s is not empty (a
+///             run without metrics has no measured side); the heading
+///             names run.label if set;
+///   kernels   run.kernels;
+///   memory    run.memory with its drift rows and RSS samples;
+///   critpath  run.criticalpath.
+void print_summary(
+    std::FILE* out, const BenchConfig& run, unsigned sections,
+    const std::map<std::string, std::map<int, double>>& counters = {});
 
 }  // namespace simcov::obs

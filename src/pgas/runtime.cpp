@@ -309,8 +309,8 @@ std::span<const std::byte> Rank::channel(int chan) const {
 // Runtime
 // ---------------------------------------------------------------------------
 
-Runtime::Runtime(int num_ranks, const RuntimeOptions& options)
-    : num_ranks_(num_ranks), check_enabled_(options.obs.pgas_check) {
+Runtime::Runtime(int num_ranks, const obs::Config& obs)
+    : num_ranks_(num_ranks), check_enabled_(obs.pgas_check) {
   SIMCOV_REQUIRE(num_ranks >= 1, "runtime needs at least one rank");
   SIMCOV_REQUIRE(num_ranks <= 4096, "unreasonable rank count");
   collective_slots_.resize(static_cast<std::size_t>(num_ranks));

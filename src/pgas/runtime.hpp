@@ -22,7 +22,7 @@
 //     so reductions are bitwise reproducible run-to-run.
 //
 // The discipline is *checkable*: construct the Runtime with
-// RuntimeOptions{.obs = {.pgas_check = true}} (the default options read
+// obs::Config{.pgas_check = true} (the default Config reads
 // SIMCOV_PGAS_CHECK=1 from the environment) and every violation —
 // unbarriered channel read, conflicting same-epoch puts, undrained RPC
 // queues, mismatched collectives — is recorded and reported as one
@@ -65,13 +65,6 @@ class Runtime;
 /// the peer's exception, the root cause, never this.
 struct TeamAborted : Error {
   TeamAborted() : Error("team aborted by a failed peer rank") {}
-};
-
-/// Construction-time knobs for Runtime.  `obs.pgas_check` enables the
-/// discipline checker (pgas/checker.hpp) for every job this runtime
-/// executes; the default is the parsed environment (SIMCOV_PGAS_CHECK).
-struct RuntimeOptions {
-  obs::Config obs = obs::Config::from_env();
 };
 
 /// Handle given to each rank's SPMD function.  Not copyable; a Rank is valid
@@ -196,10 +189,13 @@ class Rank {
 
 /// Owns the rank team.  Construct with the rank count, then call run() with
 /// the SPMD function; run() may be called repeatedly (each call is a fresh
-/// "job" on the same team size).
+/// "job" on the same team size).  `obs.pgas_check` enables the discipline
+/// checker (pgas/checker.hpp) for every job this runtime executes; the
+/// default is the parsed environment (SIMCOV_PGAS_CHECK).
 class Runtime {
  public:
-  explicit Runtime(int num_ranks, const RuntimeOptions& options = {});
+  explicit Runtime(int num_ranks,
+                   const obs::Config& obs = obs::Config::from_env());
   ~Runtime();
 
   Runtime(const Runtime&) = delete;
@@ -208,7 +204,7 @@ class Runtime {
   int num_ranks() const { return num_ranks_; }
 
   /// True when the discipline checker instruments this runtime's jobs
-  /// (RuntimeOptions::obs.pgas_check).
+  /// (obs::Config::pgas_check).
   bool checking_enabled() const { return check_enabled_; }
 
   /// Executes `fn(rank)` on every rank in its own thread and joins.  The

@@ -144,6 +144,7 @@ class GpuRank {
       // model keeps setup traffic outside the per-phase samples.
       drain_profile("setup", *prof,
                     variant_.memory_tiling ? 1.0 : kUntiledMemPenalty);
+      prof_step_ = {};  // nor are they step 0's gpu.prof.* series
     }
   }
 
@@ -1147,6 +1148,9 @@ class GpuRank {
       for (auto& [buf, traffic] : rec.buffers) {
         ks.by_buffer[buf] = traffic;
       }
+      prof_step_.launches += 1;
+      prof_step_.wall_ns += ks.wall_ns;
+      prof_step_.bytes += rec.read_bytes + rec.write_bytes;
       obs::merge_kernel_stats(kprof_, ks);
       if (tracing) {
         obs::TraceEvent ev{rec.kernel, rank_.id(),
@@ -1202,23 +1206,16 @@ class GpuRank {
       m.step_value("gpu.mem.resident_tiles", r, step_, tiles);
     }
     if (dev_.profiler() != nullptr) {
-      // KernelProf series: per-step deltas of the profiled launch totals
-      // (the cumulative aggregates live in GpuRunResult::kernel_profile).
-      std::uint64_t launches = 0, wall = 0, bytes = 0;
-      for (const obs::KernelStats& k : kprof_) {
-        launches += k.launches;
-        wall += k.wall_ns;
-        bytes += k.read_bytes + k.write_bytes;
-      }
+      // KernelProf series: the profiled launch totals of this step's phase
+      // drains (the cumulative aggregates live in
+      // GpuRunResult::kernel_profile).
       m.step_value("gpu.prof.launches", r, step_,
-                   static_cast<double>(launches - prof_launches_snapshot_));
+                   static_cast<double>(prof_step_.launches));
       m.step_value("gpu.prof.kernel_ns", r, step_,
-                   static_cast<double>(wall - prof_wall_snapshot_));
+                   static_cast<double>(prof_step_.wall_ns));
       m.step_value("gpu.prof.bytes", r, step_,
-                   static_cast<double>(bytes - prof_bytes_snapshot_));
-      prof_launches_snapshot_ = launches;
-      prof_wall_snapshot_ = wall;
-      prof_bytes_snapshot_ = bytes;
+                   static_cast<double>(prof_step_.bytes));
+      prof_step_ = {};
     }
   }
 
@@ -1235,9 +1232,10 @@ class GpuRank {
   Device dev_;
   spmd::StepLedger& ledger_;
   std::vector<obs::KernelStats> kprof_;
-  std::uint64_t prof_launches_snapshot_ = 0;
-  std::uint64_t prof_wall_snapshot_ = 0;
-  std::uint64_t prof_bytes_snapshot_ = 0;
+  /// Launches, wall ns and bytes drained since the last gpu.prof.* sample.
+  struct {
+    std::uint64_t launches = 0, wall_ns = 0, bytes = 0;
+  } prof_step_;
 
   std::int32_t w_ = 0, h_ = 0;
   std::uint32_t reduce_block_ = 128;

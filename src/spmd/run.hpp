@@ -63,18 +63,24 @@
 
 namespace simcov::spmd {
 
-/// What both backends take: team shape, cost model inputs, instruments.
-struct RunOptions {
-  int num_ranks = 4;
+/// What a run is set up with on either backend, whoever sets the team
+/// size: both RunOptions and harness::RunSpec derive from it, so the
+/// harness hands it to a backend in one assignment.
+struct RunSetup {
   /// Sub-domain shape (paper Fig. 1B: block vs linear decomposition trades
   /// off boundary length, i.e. halo traffic).
   Decomposition::Kind decomp = Decomposition::Kind::kBlock2D;
-  bool record_digests = false;  ///< per-step full-state digests (tests)
   /// Modeled-time extrapolation to paper-scale grids (see CostModel).
   double area_scale = 1.0;
   /// Instruments and checkers (obs/config.hpp); defaults to the parsed
   /// environment.  None of them changes digests or modeled seconds.
   obs::Config obs = obs::Config::from_env();
+};
+
+/// What both backends take: the setup plus the team shape.
+struct RunOptions : RunSetup {
+  int num_ranks = 4;
+  bool record_digests = false;  ///< per-step full-state digests (tests)
 };
 
 /// What one rank hands back after its step loop.  Additive fields are zero
@@ -188,7 +194,7 @@ RunResult run_spmd(const SimParams& params, const RunOptions& options,
   // creates its registry at construction and the RSS sampler keys off it.
   obs::MemScopeRun memscope_run(options.obs.memscope);
 
-  pgas::Runtime rt(options.num_ranks, pgas::RuntimeOptions{options.obs});
+  pgas::Runtime rt(options.num_ranks, options.obs);
   RunResult result;
   const auto n = static_cast<std::size_t>(options.num_ranks);
   std::vector<RankReport> reports(n);

@@ -89,7 +89,6 @@
 #include "harness/experiment.hpp"
 #include "io/snapshot.hpp"
 #include "obs/metrics.hpp"
-#include "obs/report.hpp"
 #include "obs/summary.hpp"
 #include "util/config.hpp"
 #include "util/error.hpp"
@@ -255,50 +254,15 @@ int run(const Config& cfg, const obs::Config& obs_cfg, unsigned summary_mask) {
               result.cost.total_s, result.cost.update_agents_s(),
               result.cost.reduce_stats_s());
 
-  // End-of-run report sections (kernels / memory / critpath / drift) all go
-  // through the one obs::Summary printer, gated by --summary=.  The phases
-  // section prints from finish_observability (stderr), so it is masked out
-  // here.
-  obs::Summary summary;
-  summary.sections = summary_mask & ~unsigned{obs::kSummaryPhases};
-  const auto measured =
-      obs::BenchReport::measured_phases_from(obs::metrics().counters());
-  const auto modeled = obs::BenchReport::modeled_phases_from(result.cost);
-  if (obs::metrics().enabled()) {
-    // The drift table needs the measured side; without --metrics-out it is
-    // omitted rather than printing an all-n/a column.
-    summary.measured_by_phase_s = measured;
-    summary.modeled_by_phase_s = modeled;
-  }
-  if (!result.kernel_profile.empty()) {
-    // KernelProf roofline table.  Measured phase totals come from the
-    // PhaseClock counters when metrics are on; otherwise phase shares read
-    // n/a but the per-kernel wall times and bandwidths are still real.
-    summary.kernels = obs::kernel_drift_rows(
-        result.kernel_profile, measured, modeled,
-        perfmodel::MachineSpec::perlmutter_like());
-  }
-  if (!result.memory.empty()) {
-    // MemScope per-buffer table, category drift vs the memory model, and
-    // the OS RSS reconciliation.  Take one final unconditional sample so
-    // short runs (fewer phase boundaries than the sampler stride) still
-    // report real numbers.
-    obs::rss_sampler().sample_now();
-    summary.memory = result.memory;
-    summary.mem_drift = obs::memory_drift_rows(result.memory.categories(),
-                                               result.mem_modeled_by_category);
-    summary.rss = obs::rss_sampler().last();
-    summary.rss_samples = obs::rss_sampler().samples();
-  }
-  if (result.critpath.steps() > 0) {
-    // CritPath binding/what-if report (Amdahl over the critical path).
-    summary.critpath = obs::build_critpath_report(
-        result.critpath, obs::phase_name_list(),
-        obs::modeled_phase_list(result.cost));
-    summary.critpath.step_wall_s = result.step_loop_wall_s;
-    summary.critpath.tail_s = result.step_tail_s;
-  }
-  summary.print(stdout);
+  // End-of-run report sections (drift / kernels / memory / critpath) print
+  // from the run's one record, gated by --summary=.  The phases section
+  // prints from finish_observability (stderr), so it is masked out here.
+  // Without --metrics-out the record has no measured side and the drift
+  // table is omitted rather than printing an all-n/a column.
+  obs::print_summary(stdout,
+                     harness::run_report(spec, result,
+                                         obs::metrics().counters()),
+                     summary_mask & ~unsigned{obs::kSummaryPhases});
   return 0;
 }
 

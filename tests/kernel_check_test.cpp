@@ -660,7 +660,7 @@ TEST(KernelCheckFailFast, RacyLaunchOnOneRankAbortsTheTeam) {
     for (int racy = 0; racy < kLaunches; ++racy) {
       SCOPED_TRACE("pgas checker " + std::to_string(pgas_check) +
                    ", racy launch " + std::to_string(racy));
-      pgas::Runtime rt(kRanks, {.obs = {.pgas_check = pgas_check}});
+      pgas::Runtime rt(kRanks, {.pgas_check = pgas_check});
       std::atomic<int> finished{0};
       const std::string what = fail_fast::error_of([&] {
         rt.run([&](pgas::Rank& rank) {

@@ -29,10 +29,10 @@
 namespace simcov::pgas {
 namespace {
 
-RuntimeOptions checked() { return {.obs = {.pgas_check = true}}; }
+obs::Config checked() { return {.pgas_check = true}; }
 /// Checker off whatever the environment says (the sanitizer test presets
 /// export SIMCOV_PGAS_CHECK=1 for the whole suite).
-RuntimeOptions unchecked() { return {.obs = {}}; }
+obs::Config unchecked() { return {}; }
 
 /// Runs `body` under the checker and returns the diagnostic ("" if clean).
 std::string checked_run_error(int ranks,

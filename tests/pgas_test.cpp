@@ -445,7 +445,7 @@ void expect_every_failure_aborts(FailSite site, const std::string& cause) {
                        std::to_string(ranks) + " ranks, rank " +
                        std::to_string(fail_rank) + " fails in superstep " +
                        std::to_string(step));
-          Runtime rt(ranks, {.obs = {.pgas_check = checked}});
+          Runtime rt(ranks, {.pgas_check = checked});
           const std::string what = fail_fast::error_of([&] {
             rt.run([&](Rank& r) {
               failing_program(r, site, fail_rank, step);
@@ -496,7 +496,7 @@ TEST(PgasFailFast, ExtraBarrierAfterPeersReturnedFailsItsRank) {
                        std::to_string(ranks) + " ranks, rank " +
                        std::to_string(extra) + " after " +
                        std::to_string(common) + " common barriers");
-          Runtime rt(ranks, {.obs = {.pgas_check = checked}});
+          Runtime rt(ranks, {.pgas_check = checked});
           const std::string what = fail_fast::error_of([&] {
             rt.run([&](Rank& r) {
               for (int k = 0; k < common; ++k) r.barrier();
@@ -523,7 +523,7 @@ TEST(PgasFailFast, RankReturningBeforeItsPeersBarrierFailsTheJob) {
                        std::to_string(ranks) + " ranks, rank " +
                        std::to_string(early) + " returns early" +
                        (collective ? " from a collective" : ""));
-          Runtime rt(ranks, {.obs = {.pgas_check = checked}});
+          Runtime rt(ranks, {.pgas_check = checked});
           const std::string what = fail_fast::error_of([&] {
             rt.run([&](Rank& r) {
               r.barrier();

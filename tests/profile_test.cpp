@@ -5,12 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/foi.hpp"
 #include "core/grid.hpp"
 #include "gpusim/gpusim.hpp"
+#include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "obs/trace.hpp"
 #include "pgas/runtime.hpp"
@@ -311,6 +314,48 @@ TEST(KernelProf, DigestsAndDeviceStatsBitIdenticalProfilingOnOff) {
     total_launches += k.launches;
   }
   EXPECT_EQ(total_launches, r_on.device_total.kernel_launches);
+}
+
+// The gpu.prof.* step series count each step's phase launches only: summed
+// over ranks and steps they equal kernel_profile over every phase but the
+// setup launches initialize() drains before step 0.
+TEST(KernelProf, StepSeriesCountStepPhasesOnly) {
+  SimParams p = small_params();
+  p.num_steps = 20;
+  const Grid grid(p.dim_x, p.dim_y, p.dim_z);
+  const auto foi = foi_uniform_random(grid, p.num_foi, p.seed);
+  gpu::GpuSimOptions opt;
+  opt.num_ranks = 2;
+  opt.obs.profile = true;
+
+  obs::metrics().enable("");
+  const gpu::GpuRunResult r = gpu::run_gpu_sim(p, foi, opt);
+  std::istringstream csv(obs::metrics().to_csv());
+  obs::metrics().disable();
+
+  std::map<std::string, double> series;  // name -> sum over ranks and steps
+  std::size_t launch_samples = 0;
+  for (std::string line; std::getline(csv, line);) {
+    if (line.rfind("series,gpu.prof.", 0) != 0) continue;
+    const std::string name = line.substr(7, line.find(',', 7) - 7);
+    series[name] += std::stod(line.substr(line.rfind(',') + 1));
+    if (name == "gpu.prof.launches") ++launch_samples;
+  }
+  std::uint64_t setup = 0, launches = 0, wall_ns = 0, bytes = 0;
+  for (const obs::KernelStats& k : r.kernel_profile) {
+    if (k.phase == "setup") {
+      setup += k.launches;
+      continue;
+    }
+    launches += k.launches;
+    wall_ns += k.wall_ns;
+    bytes += k.read_bytes + k.write_bytes;
+  }
+  EXPECT_GT(setup, 0u);
+  EXPECT_EQ(launch_samples, 2u * 20u);
+  EXPECT_EQ(series["gpu.prof.launches"], static_cast<double>(launches));
+  EXPECT_EQ(series["gpu.prof.kernel_ns"], static_cast<double>(wall_ns));
+  EXPECT_EQ(series["gpu.prof.bytes"], static_cast<double>(bytes));
 }
 
 // Profiling composes with KernelCheck schedule permutation: replayed

@@ -236,10 +236,7 @@ struct HaloOutcome {
 /// the neighbour's boundary voxel at the same index, mirrored across the
 /// face.  run() throws if the checker recorded any violation.
 std::vector<HaloOutcome> run_halo(const Decomposition& dec) {
-  pgas::RuntimeOptions ropt;
-  ropt.obs = obs::Config{};
-  ropt.obs.pgas_check = true;
-  pgas::Runtime rt(dec.num_ranks(), ropt);
+  pgas::Runtime rt(dec.num_ranks(), obs::Config{.pgas_check = true});
   EXPECT_TRUE(rt.checking_enabled());
   std::vector<HaloOutcome> out(static_cast<std::size_t>(dec.num_ranks()));
   constexpr std::array<std::size_t, 2> kWidths = {sizeof(StripTag),
@@ -371,7 +368,7 @@ TEST(SpmdFailFast, PackThrowInAHaloExchangeAbortsTheTeam) {
                        std::to_string(ranks) + " ranks, rank " +
                        std::to_string(fail_rank) + " fails in exchange " +
                        std::to_string(fail_at));
-          pgas::Runtime rt(ranks, {.obs = {.pgas_check = checked}});
+          pgas::Runtime rt(ranks, {.pgas_check = checked});
           const std::string what = fail_fast::error_of([&] {
             rt.run([&](pgas::Rank& rank) {
               spmd::Halo halo(rank, dec.sub(rank.id()), kWidths);
